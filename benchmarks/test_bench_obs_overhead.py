@@ -4,13 +4,20 @@ The obs layer must be effectively free when disabled (the no-op
 singletons) and cheap when enabled (append-a-dict per span).  Rows: the
 same 32-design corpus through an inline single-job farm with (a) tracing
 and metrics off, (b) on, and (c) on plus a JSONL export at the end.
-Expected shape: (b) and (c) within 10% of (a).
+Expected shape: the medians of (b) and (c) within 10% of (a).
 
 Inline ``jobs=1`` is the worst case for relative overhead: process
 workers amortize span recording behind fork/IPC costs, the inline
 executor hides nothing.
+
+The measurement is built so that it cannot favour one row: one untimed
+warm-up pass of every row over the full corpus fills every cache the
+timed runs touch, and the timed runs interleave the three rows, in
+forward order on even repeats and reversed on odd ones, so a host that
+speeds up or slows down during the bench shifts every row alike.
 """
 
+import statistics
 import time
 
 import pytest
@@ -28,7 +35,7 @@ from cadinterop.obs import (
 from cadinterop.schematic.samples import build_sample_plan, generate_chain_schematic
 
 DESIGNS = 32
-REPEATS = 3
+REPEATS = 10
 MAX_OVERHEAD = 0.10
 
 
@@ -59,23 +66,20 @@ class TestObsOverhead:
         corpus = _corpus(vl_libraries)
         plan = build_sample_plan(source_libraries=vl_libraries)
 
-        # Untimed warmup (import caches, bus-parse memo).
-        _timed_run(plan, corpus[:4])
-
-        def best(run):
-            return min(run() for _ in range(REPEATS))
-
-        t_off = best(lambda: _timed_run(plan, corpus))
+        def off_run():
+            return _timed_run(plan, corpus)
 
         def traced_run(export_to=None):
             tracer = enable_tracing()
             enable_metrics()
             try:
-                elapsed = _timed_run(plan, corpus)
+                start = time.perf_counter()
+                _timed_run(plan, corpus)
                 spans = tracer.spans()
                 if export_to is not None:
                     write_trace(export_to, spans, get_metrics().snapshot(),
                                 trace_id=tracer.trace_id)
+                elapsed = time.perf_counter() - start
                 # Every design span plus per-stage spans made it in.
                 assert sum(s["name"] == "migrate" for s in spans) == len(corpus)
             finally:
@@ -83,11 +87,24 @@ class TestObsOverhead:
                 disable_metrics()
             return elapsed
 
-        t_on = best(traced_run)
-        t_export = best(lambda: traced_run(tmp_path / "e16.jsonl"))
+        def export_run():
+            return traced_run(tmp_path / "e16.jsonl")
+
+        rows_in_order = (("off", off_run), ("on", traced_run), ("export", export_run))
+        for _name, run in rows_in_order:  # untimed warm-up, full corpus
+            run()
+        times = {name: [] for name, _run in rows_in_order}
+        for repeat in range(REPEATS):
+            order = rows_in_order if repeat % 2 == 0 else rows_in_order[::-1]
+            for name, run in order:
+                times[name].append(run())
+        t_off, t_on, t_export = (
+            statistics.median(times[name]) for name in ("off", "on", "export")
+        )
 
         rows = {
             "designs": len(corpus),
+            "repeats": REPEATS,
             "off_ms": round(t_off * 1e3, 1),
             "traced_ms": round(t_on * 1e3, 1),
             "traced_export_ms": round(t_export * 1e3, 1),

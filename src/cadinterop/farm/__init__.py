@@ -5,7 +5,7 @@ vendor dialects; this package turns the single-design pipeline of
 :mod:`cadinterop.schematic.migrate` into a corpus-scale engine:
 
 * :class:`MigrationFarm` / :func:`migrate_corpus` — fan per-design work out
-  over a ``concurrent.futures`` worker pool;
+  over a ``concurrent.futures`` process pool;
 * :class:`ResultCache` — content-addressed, on-disk result reuse keyed on
   ``(design digest, plan digest, pipeline version)``;
 * :class:`StageProfiler` / :class:`FarmReport` — per-stage wall time, items

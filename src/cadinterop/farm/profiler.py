@@ -59,13 +59,9 @@ class StageProfiler:
         if items:
             self.registry.counter(_ITEMS.format(stage)).inc(items)
 
-    def observe(self, sample: StageSample) -> None:
-        """Adapter matching the pipeline's ``StageObserver`` signature."""
-        self.record(sample.stage, sample.seconds, sample.items)
-
     def record_samples(self, samples: Iterable[StageSample]) -> None:
         for sample in samples:
-            self.observe(sample)
+            self.record(sample.stage, sample.seconds, sample.items)
 
     def merge(self, other: "StageProfiler") -> None:
         for stage in other._stage_names:

@@ -11,8 +11,7 @@ and:
   re-migrates only that design;
 * fans cache misses out across a ``concurrent.futures`` process pool
   (``jobs > 1``); each worker keeps one long-lived ``Migrator`` so symbol
-  scaling and source-netlist extraction amortize across the designs it
-  handles;
+  scaling amortizes across the designs it handles;
 * aggregates the pipeline's per-stage timings plus its own bookkeeping
   stages (``farm:digest``, ``farm:cache-lookup``, ``farm:cache-store``)
   into a :class:`~cadinterop.farm.report.FarmReport`.
@@ -24,7 +23,6 @@ error text) without aborting the rest of the corpus.
 from __future__ import annotations
 
 import concurrent.futures
-import threading
 import time
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -42,16 +40,29 @@ from cadinterop.schematic.migrate import (
     schematic_digest,
 )
 from cadinterop.schematic.model import Schematic
-from cadinterop.schematic.verify import NetlistCache
 
 #: A unit of work shipped to a worker: (corpus index, schematic).
 _Task = Tuple[int, Schematic]
-#: What a worker sends back: (corpus index, result or None, error or None,
-#: seconds spent migrating measured inside the worker, the spans the
-#: worker's tracer recorded for this task, and the lineage records the
-#: worker's recorder buffered — both empty when the facility is off or the
-#: worker shares the submitting side's collector (inline/thread executors).
+#: One migrated task: (corpus index, result or None, error or None, seconds
+#: spent migrating measured where the migration ran).
+_Migrated = Tuple[int, Optional[MigrationResult], Optional[str], float]
+#: What an executor hands back per task: a :data:`_Migrated` plus the spans
+#: and lineage records a process worker buffered for it — both empty when
+#: the facility is off or the task ran inline, in the submitting process's
+#: own collectors.
 _Outcome = Tuple[int, Optional[MigrationResult], Optional[str], float, list, list]
+
+
+def _migrate_one(migrator: Migrator, task: _Task) -> _Migrated:
+    """Migrate one design; every executor runs each task through here."""
+    index, schematic = task
+    start = time.perf_counter()
+    try:
+        result, error = migrator.migrate(schematic), None
+    except Exception as exc:  # a bad design must not kill the corpus
+        result, error = None, f"{type(exc).__name__}: {exc}"
+    return index, result, error, time.perf_counter() - start
+
 
 # Per-process worker state for the process-pool executor.  Each worker
 # builds one Migrator at pool start (plan arrives once via the initializer,
@@ -65,7 +76,7 @@ def _process_worker_init(
     lineage: bool = False,
 ) -> None:
     global _WORKER_MIGRATOR
-    _WORKER_MIGRATOR = Migrator(plan, netlist_cache=NetlistCache())
+    _WORKER_MIGRATOR = Migrator(plan)
     if trace_id is not None:
         # Join the parent's trace: this worker's spans carry the same trace
         # id and are shipped back (and re-parented) with each outcome.
@@ -77,31 +88,17 @@ def _process_worker_init(
 
 
 def _process_worker_migrate(task: _Task) -> _Outcome:
-    index, schematic = task
     assert _WORKER_MIGRATOR is not None, "worker used before initialization"
-    tracer = get_tracer()
-    recorder = get_lineage()
-    start = time.perf_counter()
-    try:
-        result = _WORKER_MIGRATOR.migrate(schematic)
-        return (
-            index, result, None, time.perf_counter() - start,
-            tracer.drain(), recorder.drain(),
-        )
-    except Exception as exc:  # a bad design must not kill the corpus
-        return (
-            index, None, f"{type(exc).__name__}: {exc}",
-            time.perf_counter() - start, tracer.drain(), recorder.drain(),
-        )
+    migrated = _migrate_one(_WORKER_MIGRATOR, task)
+    return migrated + (get_tracer().drain(), get_lineage().drain())
 
 
 class MigrationFarm:
     """Runs one :class:`MigrationPlan` over a corpus of schematic cells.
 
-    ``jobs`` is the worker count; ``executor`` is ``"process"``, ``"thread"``,
-    or ``"inline"`` (default: processes when ``jobs > 1``, inline otherwise —
-    thread workers only help when migration cost is dominated by I/O, the
-    pipeline itself is pure Python).
+    ``jobs`` is the worker count; ``executor`` is ``"process"`` or
+    ``"inline"`` (default: processes when ``jobs > 1``, inline otherwise).
+    The pipeline is pure Python, so only processes run designs in parallel.
     """
 
     def __init__(
@@ -117,7 +114,7 @@ class MigrationFarm:
             cache = ResultCache(cache)
         if executor is None:
             executor = "process" if jobs > 1 else "inline"
-        if executor not in ("process", "thread", "inline"):
+        if executor not in ("process", "inline"):
             raise ValueError(f"unknown executor {executor!r}")
         self.plan = plan
         self.jobs = jobs
@@ -130,8 +127,8 @@ class MigrationFarm:
 
         When tracing is enabled (:func:`cadinterop.obs.enable_tracing`) the
         run emits one ``farm:run`` span with every per-design ``migrate``
-        span beneath it — including spans recorded inside thread and process
-        workers, which are merged back and re-parented here.
+        span beneath it — including spans recorded inside process workers,
+        which are merged back and re-parented here.
         """
         tracer = get_tracer()
         with tracer.span(
@@ -160,8 +157,7 @@ class MigrationFarm:
 
         # Fold global rules into the symbol map once, up front: migrate()
         # does this idempotently per call, but doing it here keeps the plan
-        # object stable before it is digested and shipped to workers (and
-        # avoids a duplicate-add race between thread workers).
+        # object stable before it is digested and shipped to workers.
         self.plan.global_map.extend_symbol_map(self.plan.symbol_map)
         plan_d = plan_digest(self.plan)
 
@@ -195,9 +191,7 @@ class MigrationFarm:
                         continue
                 pending.append((index, design))
 
-        for index, result, error, seconds, spans, lineage in self._execute(
-            pending, run_span
-        ):
+        for index, result, error, seconds, spans, lineage in self._execute(pending):
             if spans:
                 # Worker-side spans (process executor): re-root them under
                 # this run so the merged trace stays one tree.
@@ -254,26 +248,13 @@ class MigrationFarm:
 
     # -- executors -------------------------------------------------------
 
-    def _execute(self, tasks: List[_Task], run_span) -> List[_Outcome]:
+    def _execute(self, tasks: List[_Task]) -> List[_Outcome]:
         if not tasks:
             return []
         if self.executor == "process" and self.jobs > 1:
             return self._execute_processes(tasks)
-        if self.executor == "thread" and self.jobs > 1:
-            return self._execute_threads(tasks, run_span)
-        return self._execute_inline(tasks)
-
-    def _execute_inline(self, tasks: List[_Task]):
-        migrator = Migrator(self.plan, netlist_cache=NetlistCache())
-        outcomes = []
-        for index, design in tasks:
-            t0 = time.perf_counter()
-            try:
-                result, error = migrator.migrate(design), None
-            except Exception as exc:
-                result, error = None, f"{type(exc).__name__}: {exc}"
-            outcomes.append((index, result, error, time.perf_counter() - t0, [], []))
-        return outcomes
+        migrator = Migrator(self.plan)
+        return [_migrate_one(migrator, task) + ([], []) for task in tasks]
 
     def _execute_processes(self, tasks: List[_Task]) -> List[_Outcome]:
         workers = min(self.jobs, len(tasks))
@@ -291,32 +272,6 @@ class MigrationFarm:
             return list(
                 pool.map(_process_worker_migrate, tasks, chunksize=chunksize)
             )
-
-    def _execute_threads(self, tasks: List[_Task], run_span):
-        local = threading.local()
-        tracer = get_tracer()
-
-        def migrate_one(task: _Task):
-            index, design = task
-            if not hasattr(local, "migrator"):
-                local.migrator = Migrator(self.plan, netlist_cache=NetlistCache())
-            # Worker threads start with an empty span context; attach the
-            # run span so each migrate span parents to it.
-            token = tracer.attach(run_span.span_id) if tracer.enabled else None
-            t0 = time.perf_counter()
-            try:
-                result, error = local.migrator.migrate(design), None
-            except Exception as exc:
-                result, error = None, f"{type(exc).__name__}: {exc}"
-            finally:
-                if token is not None:
-                    tracer.detach(token)
-            return index, result, error, time.perf_counter() - t0, [], []
-
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=min(self.jobs, len(tasks))
-        ) as pool:
-            return list(pool.map(migrate_one, tasks))
 
 
 def migrate_corpus(

@@ -591,15 +591,6 @@ class Simulator:
 
     # -- the event loop ---------------------------------------------------------------
 
-    def _run_ready(self) -> None:
-        while self._ready:
-            ordinal = self.activations
-            self.activations += 1
-            choice = self.policy.choose(list(range(len(self._ready))), ordinal)
-            process = self._ready.pop(choice)
-            self._ready_set.discard(process.index)
-            process.run(self)
-
     def _apply_nba(self) -> bool:
         if not self._nba:
             return False
@@ -608,15 +599,17 @@ class Simulator:
             self.set_signal(signal, value)
         return True
 
-    def _settle(self) -> None:
+    def _settle(self, run_ready: Callable[[], None]) -> None:
         """Exhaust the current simulation time (active + NBA phases)."""
         while True:
-            self._run_ready()
+            run_ready()
             if not self._apply_nba() and not self._ready:
                 break
 
     def run(self, until: int = 1_000_000, max_activations: int = 1_000_000) -> int:
-        """Run until ``until`` or event exhaustion; returns the end time.
+        """Process every event at or before ``until``; return the time of the
+        last one processed.  Later events stay pending
+        (:meth:`next_event_time`).
 
         ``max_activations`` bounds zero-delay oscillation (e.g. a ring of
         inverters with no delay) and raises :class:`HDLError` when hit.
@@ -645,7 +638,6 @@ class Simulator:
 
     def _run(self, until: int, max_activations: int) -> int:
         budget = [max_activations]
-        original_run_ready = self._run_ready
 
         def bounded_run_ready() -> None:
             while self._ready:
@@ -703,32 +695,27 @@ class Simulator:
                 budget[0] = remaining
                 self.activations = ordinal
 
-        bounded = (
+        run_ready = (
             compiled_run_ready if self._triggers is not None else bounded_run_ready
         )
-        self._run_ready = bounded  # type: ignore[method-assign]
-        try:
-            self._settle()
-            while self._heap:
-                event = heapq.heappop(self._heap)
-                if event.cancelled:
-                    continue
-                if event.time > until:
-                    heapq.heappush(self._heap, event)
-                    break
-                self.now = event.time
-                self.events_executed += 1
-                event.action()
-                # Drain same-time events before settling.
-                while self._heap and self._heap[0].time == self.now:
-                    follow = heapq.heappop(self._heap)
-                    if not follow.cancelled:
-                        self.events_executed += 1
-                        follow.action()
-                self._settle()
-        finally:
-            self._run_ready = original_run_ready  # type: ignore[method-assign]
-        self.now = max(self.now, min(until, self.now if not self._heap else self.now))
+        self._settle(run_ready)
+        while self._heap:
+            event = heapq.heappop(self._heap)
+            if event.cancelled:
+                continue
+            if event.time > until:
+                heapq.heappush(self._heap, event)
+                break
+            self.now = event.time
+            self.events_executed += 1
+            event.action()
+            # Drain same-time events before settling.
+            while self._heap and self._heap[0].time == self.now:
+                follow = heapq.heappop(self._heap)
+                if not follow.cancelled:
+                    self.events_executed += 1
+                    follow.action()
+            self._settle(run_ready)
         return self.now
 
     def next_event_time(self) -> Optional[int]:

@@ -210,7 +210,7 @@ class GridRouter:
         best: Dict[Node, int] = {}
         parent: Dict[Node, Optional[Node]] = {}
         counter = 0
-        for source in sources:
+        for source in sorted(sources):
             # Sources are admitted on hard occupancy only: a pin that sits
             # inside another net's clearance zone must still be escapable
             # (typically via the other layer).

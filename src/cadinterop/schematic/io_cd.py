@@ -19,7 +19,7 @@ Format sketch::
       (page 1 (frame 0 0 1000 800)
         (inst "I1" ("cd_basic" "nand2" "symbol") (at 100 200) (orient R0)
           (prop "w" str "2u"))
-        (wire (label "A<0>") (pts 0 0 10 0))
+        (wire (label "A<0>") (anchor 4 0) (pts 0 0 10 0))
         (text "title" (at 5 5) (font 10 7 2))))
 """
 
@@ -109,6 +109,9 @@ def dump_schematic(schematic: Schematic) -> str:
             lines.append("    )")
         for wire in page.wires:
             label = f"(label {_quote(wire.label)}) " if wire.label else ""
+            anchor = wire.label_position
+            if anchor is not None:
+                label += f"(anchor {anchor.x} {anchor.y}) "
             coords = " ".join(f"{p.x} {p.y}" for p in wire.points)
             lines.append(f"    (wire {label}(pts {coords}))")
         for label in page.labels:
@@ -277,11 +280,16 @@ def _read_page(section: List[Any], schematic: Schematic, libraries) -> None:
             page.add_instance(instance)
         elif keyword == "wire":
             label: Optional[str] = None
+            label_position: Optional[Point] = None
             points: List[Point] = []
             for inner in _sections(sub, 1):
                 inner_keyword = _sym(inner[0])
                 if inner_keyword == "label":
                     label = _str(inner[1])
+                elif inner_keyword == "anchor":
+                    if len(inner) != 3:
+                        raise CDFormatError(f"bad wire label anchor: {sub!r}")
+                    label_position = Point(_int(inner[1]), _int(inner[2]))
                 elif inner_keyword == "pts":
                     coords = inner[1:]
                     if len(coords) % 2:
@@ -292,7 +300,7 @@ def _read_page(section: List[Any], schematic: Schematic, libraries) -> None:
                     ]
                 else:
                     raise CDFormatError(f"unexpected {inner_keyword!r} in wire")
-            page.add_wire(Wire(points, label=label))
+            page.add_wire(Wire(points, label=label, label_position=label_position))
         elif keyword == "text":
             at = sub[2]
             font = sub[3]

@@ -23,7 +23,7 @@ Format summary::
     PAGE <number> <x1> <y1> <x2> <y2>
     I <instname> <library> <symbol> <view> <x> <y> <orient>
     IPROP <name> <type> <value>
-    W <label or -> <n> <x1> <y1> ... <xn> <yn>
+    W <label or -> <n> <x1> <y1> ... <xn> <yn> [@ <anchor x> <anchor y>]
     T <x> <y> <height> <charwidth> <baseline> <text...>
     ENDPAGE
     END
@@ -182,7 +182,9 @@ def dump_schematic(schematic: Schematic) -> str:
         for wire in page.wires:
             label = _encode(wire.label) if wire.label else "-"
             coords = " ".join(f"{p.x} {p.y}" for p in wire.points)
-            lines.append(f"W {label} {len(wire.points)} {coords}")
+            anchor = wire.label_position
+            anchor_text = f" @ {anchor.x} {anchor.y}" if anchor is not None else ""
+            lines.append(f"W {label} {len(wire.points)} {coords}{anchor_text}")
         for label in page.labels:
             lines.append(
                 f"T {label.position.x} {label.position.y} {label.height} "
@@ -251,11 +253,14 @@ def load_schematic(text: str, libraries) -> Schematic:
                 raise VLFormatError("wire record outside PAGE")
             label = None if fields[1] == "-" else _decode(fields[1])
             count = int(fields[2])
-            coords = fields[3:]
+            coords, anchor = fields[3:3 + 2 * count], fields[3 + 2 * count:]
             if len(coords) != 2 * count:
                 raise VLFormatError(f"wire coordinate count mismatch: {line!r}")
+            if anchor and (len(anchor) != 3 or anchor[0] != "@"):
+                raise VLFormatError(f"bad wire label anchor: {line!r}")
             points = [Point(int(coords[i]), int(coords[i + 1])) for i in range(0, len(coords), 2)]
-            page.add_wire(Wire(points, label=label))
+            label_position = Point(int(anchor[1]), int(anchor[2])) if anchor else None
+            page.add_wire(Wire(points, label=label, label_position=label_position))
         elif keyword == "T":
             if page is None:
                 raise VLFormatError("text record outside PAGE")

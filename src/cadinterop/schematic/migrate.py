@@ -31,7 +31,7 @@ import hashlib
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.obs.lineage import get_lineage
@@ -59,7 +59,7 @@ from cadinterop.schematic.propertymap import PropertyRuleSet
 from cadinterop.schematic.ripup import BatchReplacementReport, replace_component
 from cadinterop.schematic.symbolmap import SymbolKey, SymbolMap
 from cadinterop.schematic.text import TextAdjustReport, adjust_labels
-from cadinterop.schematic.verify import NetlistCache, VerificationResult, verify_migration
+from cadinterop.schematic.verify import VerificationResult, verify_migration
 
 #: Version tag of the pipeline's *semantics*.  It participates in every
 #: farm cache key, so bump it whenever a stage's behavior changes in a way
@@ -90,14 +90,8 @@ class StageSample:
     items: int = 0
 
 
-#: Observer signature for per-stage hooks: called with the finished sample.
-StageObserver = Callable[[StageSample], None]
-
-
 @contextmanager
-def _timed_stage(
-    samples: List[StageSample], observer: Optional[StageObserver], stage: str
-) -> Iterator[StageSample]:
+def _timed_stage(samples: List[StageSample], stage: str) -> Iterator[StageSample]:
     sample = StageSample(stage)
     with get_tracer().span("migrate:" + stage) as span:
         start = time.perf_counter()
@@ -107,8 +101,6 @@ def _timed_stage(
             sample.seconds = time.perf_counter() - start
             span.set(items=sample.items)
             samples.append(sample)
-            if observer is not None:
-                observer(sample)
 
 
 @dataclass
@@ -207,21 +199,12 @@ def copy_schematic(schematic: Schematic) -> Schematic:
 class Migrator:
     """Executes a :class:`MigrationPlan` on schematic cells.
 
-    ``stage_observer`` is called with a :class:`StageSample` as each pipeline
-    stage finishes (the farm's profiler hooks in here); ``netlist_cache``
-    memoizes source netlist extraction across verifications of the same
-    source object (see :class:`cadinterop.schematic.verify.NetlistCache`).
+    Each stage's timing lands in :attr:`MigrationResult.stages` and in a
+    ``migrate:<stage>`` span.
     """
 
-    def __init__(
-        self,
-        plan: MigrationPlan,
-        stage_observer: Optional[StageObserver] = None,
-        netlist_cache: Optional[NetlistCache] = None,
-    ) -> None:
+    def __init__(self, plan: MigrationPlan) -> None:
         self.plan = plan
-        self.stage_observer = stage_observer
-        self.netlist_cache = netlist_cache
         self._scaled_symbols: Dict[Tuple[str, str, str], Symbol] = {}
 
     def migrate(self, source: Schematic) -> MigrationResult:
@@ -245,7 +228,7 @@ class Migrator:
         # Fold global rules into the symbol map (idempotent).
         plan.global_map.extend_symbol_map(plan.symbol_map)
 
-        with _timed_stage(samples, self.stage_observer, "scaling") as sample:
+        with _timed_stage(samples, "scaling") as sample:
             # Step 1: scaling.
             scaling = rescale_schematic(working, plan.source_dialect, plan.target_dialect, log)
             factor = scaling.factor
@@ -270,7 +253,7 @@ class Migrator:
                         )
             sample.items = scaling.points_scaled
 
-        with _timed_stage(samples, self.stage_observer, "replacement") as sample:
+        with _timed_stage(samples, "replacement") as sample:
             # Step 2: component replacement with minimal rip-up.
             replacements = BatchReplacementReport()
             for page in working.pages:
@@ -293,7 +276,7 @@ class Migrator:
                     )
             sample.items = replacements.replacements
 
-        with _timed_stage(samples, self.stage_observer, "properties") as sample:
+        with _timed_stage(samples, "properties") as sample:
             # Step 3: property mapping (declarative rules + a/L callbacks).
             # Design-level callbacks run first: they can see every page.
             plan.property_rules.apply_to_design(
@@ -309,11 +292,11 @@ class Migrator:
                     )
                     sample.items += 1
 
-        with _timed_stage(samples, self.stage_observer, "globals") as sample:
+        with _timed_stage(samples, "globals") as sample:
             # Step 4: global net renaming to native conventions.
             sample.items = rename_global_nets(working, plan.global_map, log)
 
-        with _timed_stage(samples, self.stage_observer, "bus-syntax") as sample:
+        with _timed_stage(samples, "bus-syntax") as sample:
             # Step 5: bus syntax translation on all wire labels.
             bus_renames: Dict[str, str] = {}
             all_labels = [
@@ -365,7 +348,7 @@ class Migrator:
                         "port", port.name, "bus-syntax", "preserved"
                     )
 
-        with _timed_stage(samples, self.stage_observer, "connectors") as sample:
+        with _timed_stage(samples, "connectors") as sample:
             # Step 6: connector synthesis where the target dialect demands it.
             connector_report = ConnectorReport()
             if (
@@ -393,7 +376,7 @@ class Migrator:
                     "synthesized", detail="hierarchy connector for port",
                 )
 
-        with _timed_stage(samples, self.stage_observer, "text") as sample:
+        with _timed_stage(samples, "text") as sample:
             # Step 7: cosmetic text adjustment.
             text_report = adjust_labels(working, plan.source_dialect, plan.target_dialect, log)
             sample.items = text_report.labels_adjusted
@@ -403,10 +386,9 @@ class Migrator:
         # Step 8: independent verification.
         verification: Optional[VerificationResult] = None
         if plan.verify:
-            with _timed_stage(samples, self.stage_observer, "verification") as sample:
+            with _timed_stage(samples, "verification") as sample:
                 verification = verify_migration(
-                    source, working, plan.symbol_map, plan.global_map,
-                    netlist_cache=self.netlist_cache,
+                    source, working, plan.symbol_map, plan.global_map
                 )
                 log.merge(verification.log)
                 sample.items = verification.source_nets

@@ -13,7 +13,6 @@ from cadinterop.schematic.samples import (
     build_vl_libraries,
     generate_chain_schematic,
 )
-from cadinterop.schematic.verify import NetlistCache
 
 
 @pytest.fixture(scope="module")
@@ -69,7 +68,7 @@ class TestFarmRun:
         corpus = build_corpus(vl_libs, count=3)
         by_executor = {
             executor: MigrationFarm(plan, jobs=2, executor=executor).run(corpus)
-            for executor in ("inline", "thread", "process")
+            for executor in ("inline", "process")
         }
         reference = by_executor["inline"]
         for executor, report in by_executor.items():
@@ -87,21 +86,18 @@ class TestFarmRun:
         from cadinterop.obs import disable_tracing, enable_tracing
 
         corpus = build_corpus(vl_libs, count=3)
-        for executor in ("thread", "process"):
-            tracer = enable_tracing()
-            try:
-                report = MigrationFarm(plan, jobs=2, executor=executor).run(corpus)
-                spans = tracer.spans()
-            finally:
-                disable_tracing()
-            assert report.trace_id == tracer.trace_id
-            roots = [s for s in spans if s["parent_id"] is None]
-            assert [s["name"] for s in roots] == ["farm:run"], executor
-            migrates = [s for s in spans if s["name"] == "migrate"]
-            assert len(migrates) == len(corpus), executor
-            assert all(
-                s["parent_id"] == roots[0]["span_id"] for s in migrates
-            ), executor
+        tracer = enable_tracing()
+        try:
+            report = MigrationFarm(plan, jobs=2, executor="process").run(corpus)
+            spans = tracer.spans()
+        finally:
+            disable_tracing()
+        assert report.trace_id == tracer.trace_id
+        roots = [s for s in spans if s["parent_id"] is None]
+        assert [s["name"] for s in roots] == ["farm:run"]
+        migrates = [s for s in spans if s["name"] == "migrate"]
+        assert len(migrates) == len(corpus)
+        assert all(s["parent_id"] == roots[0]["span_id"] for s in migrates)
 
     def test_keep_results_false_drops_payloads(self, vl_libs, plan):
         corpus = build_corpus(vl_libs, count=2)
@@ -168,9 +164,10 @@ class TestFarmValidation:
         with pytest.raises(ValueError, match="jobs"):
             MigrationFarm(plan, jobs=0)
 
-    def test_unknown_executor_rejected(self, plan):
+    @pytest.mark.parametrize("executor", ["fleet", "thread"])
+    def test_unknown_executor_rejected(self, plan, executor):
         with pytest.raises(ValueError, match="executor"):
-            MigrationFarm(plan, executor="fleet")
+            MigrationFarm(plan, jobs=2, executor=executor)
 
 
 class TestReportRendering:
@@ -229,16 +226,15 @@ class TestFarmLineage:
     def test_worker_lineage_merges_and_links(self, vl_libs, plan):
         corpus = self.lossy_corpus(vl_libs)
         reference, ref_records, _ = self.run_with_lineage(plan, corpus, jobs=1)
-        for executor in ("thread", "process"):
-            report, records, spans = self.run_with_lineage(
-                plan, corpus, jobs=2, executor=executor
-            )
-            key = lambda r: (r["design"], r["stage"], r["verb"], r["object_id"])
-            assert sorted(map(key, records)) == sorted(map(key, ref_records)), executor
-            assert report.loss.as_dict() == reference.loss.as_dict(), executor
-            # Worker records must link to spans adopted into this trace.
-            span_ids = {span["span_id"] for span in spans}
-            assert all(r["span_id"] in span_ids for r in records), executor
+        report, records, spans = self.run_with_lineage(
+            plan, corpus, jobs=2, executor="process"
+        )
+        key = lambda r: (r["design"], r["stage"], r["verb"], r["object_id"])
+        assert sorted(map(key, records)) == sorted(map(key, ref_records))
+        assert report.loss.as_dict() == reference.loss.as_dict()
+        # Worker records must link to spans adopted into this trace.
+        span_ids = {span["span_id"] for span in spans}
+        assert all(r["span_id"] in span_ids for r in records)
 
     def test_cache_hit_is_recorded_as_preserved(self, vl_libs, plan, tmp_path):
         corpus = self.lossy_corpus(vl_libs, count=2)
@@ -253,16 +249,3 @@ class TestFarmLineage:
         # Cached designs never re-entered the pipeline, so no migration
         # records (and no losses) this time around.
         assert report.loss.total == 2 and report.loss.losses == 0
-
-
-class TestNetlistCache:
-    def test_source_extraction_is_reused(self, vl_libs, plan):
-        from cadinterop.schematic.migrate import Migrator
-
-        corpus = build_corpus(vl_libs, count=1)
-        cache = NetlistCache()
-        migrator = Migrator(plan, netlist_cache=cache)
-        migrator.migrate(corpus[0])
-        assert cache.misses == 1 and cache.hits == 0
-        migrator.migrate(corpus[0])
-        assert cache.hits == 1

@@ -271,6 +271,22 @@ class TestKernelGuards:
         sim.run(200)
         assert sim.value("a") == "1"
 
+    @pytest.mark.parametrize("kernel", ["interp", "compiled"])
+    def test_run_until_returns_last_event_time(self, kernel):
+        sim = Simulator(parse_module(
+            "module m (); reg a; initial begin a = 1'b0; #30 a = 1'b1; #70 a = 1'b0; end"
+            " endmodule"
+        ), kernel=kernel)
+        # The last event at or before ``until`` sets the time; later events
+        # stay pending.
+        assert sim.run(50) == 30
+        assert sim.now == 30 and sim.next_event_time() == 100
+        assert sim.value("a") == "1"
+        # An event exactly at ``until`` is processed.
+        assert sim.run(100) == 100
+        assert sim.value("a") == "0" and sim.next_event_time() is None
+        assert sim.run(500) == 100
+
     def test_waveform_trace_filter(self):
         sim = simulate(
             parse_module("module m (); reg a, b; initial begin a = 1'b0; b = 1'b1; end endmodule"),

@@ -1,7 +1,7 @@
 """Worker-span merging: one coherent trace across farm executors.
 
 The acceptance bar for the observability layer: a traced
-``MigrationFarm.run`` over the thread or process executor yields ONE
+``MigrationFarm.run`` over the process executor yields ONE
 trace — every per-design ``migrate`` span parented under the single
 ``farm:run`` root, every stage span parented under its design's
 ``migrate`` span, and start times consistent with that nesting — even
@@ -90,10 +90,6 @@ class TestExecutorMerge:
         spans, _ = traced_farm_run(vl_libs, corpus, "inline")
         assert_single_coherent_trace(spans)
 
-    def test_thread_executor_merges_into_one_trace(self, vl_libs, corpus):
-        spans, _ = traced_farm_run(vl_libs, corpus, "thread")
-        assert_single_coherent_trace(spans)
-
     def test_process_executor_merges_into_one_trace(self, vl_libs, corpus):
         spans, trace_id = traced_farm_run(vl_libs, corpus, "process")
         assert_single_coherent_trace(spans)
@@ -106,10 +102,10 @@ class TestExecutorMerge:
 
     def test_executors_disagree_only_on_ids(self, vl_libs, corpus):
         names = {}
-        for executor in ("inline", "thread", "process"):
+        for executor in ("inline", "process"):
             spans, _ = traced_farm_run(vl_libs, corpus, executor)
             names[executor] = sorted(span["name"] for span in spans)
-        assert names["inline"] == names["thread"] == names["process"]
+        assert names["inline"] == names["process"]
 
 
 class TestTracerThreadSafety:
@@ -117,14 +113,10 @@ class TestTracerThreadSafety:
         tracer = Tracer()
 
         def worker(index):
-            token = tracer.attach(None)
-            try:
-                with tracer.span(f"job{index}"):
-                    for _ in range(20):
-                        with tracer.span("step"):
-                            pass
-            finally:
-                tracer.detach(token)
+            with tracer.span(f"job{index}"):
+                for _ in range(20):
+                    with tracer.span("step"):
+                        pass
 
         threads = [threading.Thread(target=worker, args=(i,)) for i in range(8)]
         for thread in threads:

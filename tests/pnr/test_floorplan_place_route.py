@@ -1,6 +1,14 @@
 """Tests for floorplanning, placement, routing, and parasitics."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
+
+import cadinterop
 
 from cadinterop.common.geometry import Point, Rect
 from cadinterop.pnr.cells import CellLibrary
@@ -159,6 +167,48 @@ class TestRouting:
         for net, routed in result.routed.items():
             for node in routed.nodes:
                 assert owners.setdefault(node, net) == net
+
+    def test_routes_do_not_depend_on_hash_seed(self):
+        """Tie-breaks between equal-cost paths must not follow set order.
+
+        Set iteration order of ``(layer, x, y)`` nodes changes with the
+        per-process string hash, so each run happens in its own interpreter.
+        Hash seeds 0 and 2 pick different equal-cost routes for this design
+        when the A* heap is seeded in set order.
+        """
+        script = (
+            "import json\n"
+            "from cadinterop.pnr.placement import RowPlacer\n"
+            "from cadinterop.pnr.routing import GridRouter\n"
+            "from cadinterop.pnr.samples import build_cell_library, "
+            "build_floorplan, generate_design\n"
+            "from cadinterop.pnr.tech import generic_two_layer_tech\n"
+            "tech, fp = generic_two_layer_tech(), build_floorplan()\n"
+            "design, pads = generate_design(build_cell_library(), cells=24, seed=7)\n"
+            "RowPlacer(tech, fp, seed=3).place(design, pads)\n"
+            "result = GridRouter(tech, fp, pads).route_design(design)\n"
+            "print(json.dumps({\n"
+            "    'nets': {name: [sorted(net.nodes), net.vias]\n"
+            "             for name, net in result.routed.items()},\n"
+            "    'failed': result.failed,\n"
+            "    'wirelength': result.total_wirelength,\n"
+            "}, sort_keys=True))\n"
+        )
+        src = str(Path(cadinterop.__file__).resolve().parents[1])
+        runs = []
+        for hash_seed in ("0", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [src, env.get("PYTHONPATH")])
+            )
+            completed = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert completed.returncode == 0, completed.stderr[-2000:]
+            runs.append(json.loads(completed.stdout))
+        assert runs[0]["nets"] and runs[0]["wirelength"] > 0
+        assert runs[0] == runs[1]
 
     def test_routing_keepout_avoided(self, tech, library):
         fp = build_floorplan()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from cadinterop.common.geometry import Point
 from cadinterop.schematic import io_cd, io_vl
 from cadinterop.schematic.io_cd import CDFormatError
 from cadinterop.schematic.io_vl import VLFormatError
@@ -103,6 +104,18 @@ class TestVLRoundTrip:
         with pytest.raises(VLFormatError):
             io_vl.load_schematic(text, vl_libs)
 
+    def test_wire_label_anchor_is_optional(self, vl_libs):
+        head = "VLSCHEM 1 c viewdraw-like\nPAGE 1 0 0 100 100\n"
+        for record, anchor in (
+            ("W N1 2 0 0 40 0", None),
+            ("W N1 2 0 0 40 0 @ 17 3", Point(17, 3)),
+        ):
+            loaded = io_vl.load_schematic(f"{head}{record}\nENDPAGE\nEND\n", vl_libs)
+            assert loaded.pages[0].wires[0].label_position == anchor
+        for record in ("W N1 2 0 0 40 0 @ 17", "W N1 2 0 0 40 0 at 17 3"):
+            with pytest.raises(VLFormatError, match="anchor"):
+                io_vl.load_schematic(f"{head}{record}\nENDPAGE\nEND\n", vl_libs)
+
 
 class TestCDRoundTrip:
     def test_library_roundtrip(self, vl_libs):
@@ -136,6 +149,19 @@ class TestCDRoundTrip:
     def test_garbage_rejected(self, vl_libs):
         with pytest.raises(CDFormatError):
             io_cd.load_schematic("(schematic", vl_libs)
+
+    def test_wire_label_anchor_is_optional(self, vl_libs):
+        def page(wire):
+            return f'(schematic "c" "composer-like" (page 1 (frame 0 0 100 100) {wire}))'
+
+        for wire, anchor in (
+            ('(wire (label "N1") (pts 0 0 40 0))', None),
+            ('(wire (label "N1") (anchor 17 3) (pts 0 0 40 0))', Point(17, 3)),
+        ):
+            loaded = io_cd.load_schematic(page(wire), vl_libs)
+            assert loaded.pages[0].wires[0].label_position == anchor
+        with pytest.raises(CDFormatError, match="anchor"):
+            io_cd.load_schematic(page('(wire (anchor 17) (pts 0 0 40 0))'), vl_libs)
 
 
 class TestCrossFormat:

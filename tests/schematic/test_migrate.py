@@ -226,9 +226,3 @@ class TestStageInstrumentation:
         stages = [s.stage for s in result.stages]
         assert stages == list(PIPELINE_STAGES[:-1])
         assert "verification" not in stages
-
-    def test_stage_observer_sees_every_sample(self, vl_libs, sample):
-        seen = []
-        plan = build_sample_plan(source_libraries=vl_libs)
-        result = Migrator(plan, stage_observer=seen.append).migrate(sample)
-        assert seen == result.stages

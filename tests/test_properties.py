@@ -238,3 +238,58 @@ class TestMigrationConnectivityProperty:
         )
         result = Migrator(build_sample_plan(source_libraries=libraries)).migrate(cell)
         assert result.verification.equivalent, result.verification.summary()
+
+
+class TestFileFormatDigestRoundTrip:
+    """dump∘load is a digest fixed point, off-grid label anchors included."""
+
+    chains = dict(
+        pages=st.integers(1, 2),
+        chains=st.integers(1, 3),
+        stages=st.integers(2, 4),
+        seed=st.integers(0, 1000),
+        offgrid=st.integers(1, 2),
+    )
+
+    @staticmethod
+    def generate(pages, chains, stages, seed, offgrid):
+        from cadinterop.schematic.samples import (
+            build_vl_libraries,
+            generate_chain_schematic,
+        )
+
+        libraries = build_vl_libraries()
+        cell = generate_chain_schematic(
+            libraries, pages=pages, chains_per_page=chains, stages=stages,
+            seed=seed, offgrid_labels=offgrid,
+        )
+        assert any(w.label_position for p in cell.pages for w in p.wires)
+        return libraries, cell
+
+    @given(**chains)
+    @settings(max_examples=20, deadline=None)
+    def test_vl_roundtrip_keeps_digest(self, pages, chains, stages, seed, offgrid):
+        from cadinterop.schematic import io_vl
+        from cadinterop.schematic.migrate import schematic_digest
+
+        libraries, cell = self.generate(pages, chains, stages, seed, offgrid)
+        loaded = io_vl.load_schematic(io_vl.dump_schematic(cell), libraries)
+        assert schematic_digest(loaded) == schematic_digest(cell)
+
+    @given(**chains)
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    def test_cd_roundtrip_of_migrated_result_keeps_digest(
+        self, pages, chains, stages, seed, offgrid
+    ):
+        from cadinterop.schematic import io_cd
+        from cadinterop.schematic.migrate import Migrator, schematic_digest
+        from cadinterop.schematic.samples import build_sample_plan
+
+        libraries, cell = self.generate(pages, chains, stages, seed, offgrid)
+        plan = build_sample_plan(source_libraries=libraries)
+        migrated = Migrator(plan).migrate(cell).schematic
+        loaded = io_cd.load_schematic(
+            io_cd.dump_schematic(migrated), plan.target_libraries
+        )
+        assert schematic_digest(loaded) == schematic_digest(migrated)
