@@ -279,28 +279,14 @@ def _read_page(section: List[Any], schematic: Schematic, libraries) -> None:
                 _read_prop(inner, instance.properties)
             page.add_instance(instance)
         elif keyword == "wire":
-            label: Optional[str] = None
-            label_position: Optional[Point] = None
-            points: List[Point] = []
-            for inner in _sections(sub, 1):
-                inner_keyword = _sym(inner[0])
-                if inner_keyword == "label":
-                    label = _str(inner[1])
-                elif inner_keyword == "anchor":
-                    if len(inner) != 3:
-                        raise CDFormatError(f"bad wire label anchor: {sub!r}")
-                    label_position = Point(_int(inner[1]), _int(inner[2]))
-                elif inner_keyword == "pts":
-                    coords = inner[1:]
-                    if len(coords) % 2:
-                        raise CDFormatError(f"odd coordinate count in wire: {sub!r}")
-                    points = [
-                        Point(_int(coords[i]), _int(coords[i + 1]))
-                        for i in range(0, len(coords), 2)
-                    ]
-                else:
-                    raise CDFormatError(f"unexpected {inner_keyword!r} in wire")
-            page.add_wire(Wire(points, label=label, label_position=label_position))
+            try:
+                page.add_wire(_read_wire(sub))
+            except (IndexError, ValueError, SchematicError) as exc:
+                detail = "missing field" if isinstance(exc, IndexError) else exc
+                raise CDFormatError(
+                    f"page {page.number} wire {len(page.wires) + 1}: "
+                    f"bad wire {sub!r}: {detail}"
+                ) from None
         elif keyword == "text":
             at = sub[2]
             font = sub[3]
@@ -317,3 +303,29 @@ def _read_page(section: List[Any], schematic: Schematic, libraries) -> None:
             )
         else:
             raise CDFormatError(f"unexpected {keyword!r} in page")
+
+
+def _read_wire(section: List[Any]) -> Wire:
+    """Build a wire from a ``(wire ...)`` section."""
+    label: Optional[str] = None
+    label_position: Optional[Point] = None
+    points: List[Point] = []
+    for inner in _sections(section, 1):
+        keyword = _sym(inner[0])
+        if keyword == "label":
+            label = _str(inner[1])
+        elif keyword == "anchor":
+            if len(inner) != 3:
+                raise CDFormatError("bad wire label anchor")
+            label_position = Point(_int(inner[1]), _int(inner[2]))
+        elif keyword == "pts":
+            coords = inner[1:]
+            if len(coords) % 2:
+                raise CDFormatError("odd coordinate count in wire")
+            points = [
+                Point(_int(coords[i]), _int(coords[i + 1]))
+                for i in range(0, len(coords), 2)
+            ]
+        else:
+            raise CDFormatError(f"unexpected {keyword!r} in wire")
+    return Wire(points, label=label, label_position=label_position)

@@ -115,7 +115,7 @@ def dump_library(library: Library) -> str:
 
 
 def load_library(text: str) -> Library:
-    lines = _meaningful_lines(text)
+    lines = [line for _number, line in _meaningful_lines(text)]
     if not lines or not lines[0].startswith("VLLIB "):
         raise VLFormatError("missing VLLIB header")
     library = Library(_decode(lines[0].split()[1]))
@@ -203,7 +203,8 @@ def load_schematic(text: str, libraries) -> Schematic:
     behaviour of real tools that refuse to open a design without its
     libraries installed.
     """
-    lines = _meaningful_lines(text)
+    numbered = _meaningful_lines(text)
+    lines = [line for _number, line in numbered]
     if not lines or not lines[0].startswith("VLSCHEM "):
         raise VLFormatError("missing VLSCHEM header")
     header = lines[0].split()
@@ -251,16 +252,13 @@ def load_schematic(text: str, libraries) -> Schematic:
         elif keyword == "W":
             if page is None:
                 raise VLFormatError("wire record outside PAGE")
-            label = None if fields[1] == "-" else _decode(fields[1])
-            count = int(fields[2])
-            coords, anchor = fields[3:3 + 2 * count], fields[3 + 2 * count:]
-            if len(coords) != 2 * count:
-                raise VLFormatError(f"wire coordinate count mismatch: {line!r}")
-            if anchor and (len(anchor) != 3 or anchor[0] != "@"):
-                raise VLFormatError(f"bad wire label anchor: {line!r}")
-            points = [Point(int(coords[i]), int(coords[i + 1])) for i in range(0, len(coords), 2)]
-            label_position = Point(int(anchor[1]), int(anchor[2])) if anchor else None
-            page.add_wire(Wire(points, label=label, label_position=label_position))
+            try:
+                page.add_wire(_read_wire(fields))
+            except (IndexError, ValueError, SchematicError) as exc:
+                detail = "missing field" if isinstance(exc, IndexError) else exc
+                raise VLFormatError(
+                    f"line {numbered[index][0]}: bad wire record {line!r}: {detail}"
+                ) from None
         elif keyword == "T":
             if page is None:
                 raise VLFormatError("text record outside PAGE")
@@ -279,10 +277,25 @@ def load_schematic(text: str, libraries) -> Schematic:
     raise VLFormatError("missing END record")
 
 
-def _meaningful_lines(text: str) -> List[str]:
+def _read_wire(fields: List[str]) -> Wire:
+    """Build a wire from the fields of a ``W`` record."""
+    label = None if fields[1] == "-" else _decode(fields[1])
+    count = int(fields[2])
+    coords, anchor = fields[3:3 + 2 * count], fields[3 + 2 * count:]
+    if len(coords) != 2 * count:
+        raise VLFormatError("wire coordinate count mismatch")
+    if anchor and (len(anchor) != 3 or anchor[0] != "@"):
+        raise VLFormatError("bad wire label anchor")
+    points = [Point(int(coords[i]), int(coords[i + 1])) for i in range(0, len(coords), 2)]
+    label_position = Point(int(anchor[1]), int(anchor[2])) if anchor else None
+    return Wire(points, label=label, label_position=label_position)
+
+
+def _meaningful_lines(text: str) -> List[Tuple[int, str]]:
+    """Stripped non-blank, non-comment lines with their 1-based line numbers."""
     lines = []
-    for raw in text.splitlines():
+    for number, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if stripped and not stripped.startswith("#"):
-            lines.append(stripped)
+            lines.append((number, stripped))
     return lines

@@ -57,6 +57,7 @@ from cadinterop.schematic.model import (
 )
 from cadinterop.schematic.propertymap import PropertyRuleSet
 from cadinterop.schematic.ripup import BatchReplacementReport, replace_component
+from cadinterop.schematic.spatial import PageIndex
 from cadinterop.schematic.symbolmap import SymbolKey, SymbolMap
 from cadinterop.schematic.text import TextAdjustReport, adjust_labels
 from cadinterop.schematic.verify import VerificationResult, verify_migration
@@ -257,6 +258,7 @@ class Migrator:
             # Step 2: component replacement with minimal rip-up.
             replacements = BatchReplacementReport()
             for page in working.pages:
+                index = PageIndex(page.wires)
                 for instance_name in [i.name for i in page.instances]:
                     instance = page.instance(instance_name)
                     mapping = plan.symbol_map.lookup(SymbolKey.of(instance.symbol))
@@ -267,7 +269,7 @@ class Migrator:
                     )
                     stats = replace_component(
                         page, instance_name, mapping, target_symbol, log,
-                        strategy=plan.replacement_strategy,
+                        strategy=plan.replacement_strategy, index=index,
                     )
                     replacements.add(stats)
                     get_lineage().record(

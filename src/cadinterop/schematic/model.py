@@ -201,7 +201,8 @@ class Wire:
         if len(self.points) < 2:
             raise SchematicError("wire needs at least two points")
         # Validate Manhattan-ness eagerly; path_segments raises otherwise.
-        path_segments(self.points)
+        if not path_segments(self.points):
+            raise SchematicError("wire needs two distinct points")
 
     def segments(self) -> List[Segment]:
         return path_segments(self.points)
@@ -209,9 +210,6 @@ class Wire:
     @property
     def endpoints(self) -> Tuple[Point, Point]:
         return (self.points[0], self.points[-1])
-
-    def touches_point(self, point: Point) -> bool:
-        return any(seg.contains_point(point) for seg in self.segments())
 
     def length(self) -> int:
         return sum(seg.length for seg in self.segments())

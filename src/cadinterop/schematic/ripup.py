@@ -28,6 +28,7 @@ from typing import Dict, List, Optional, Tuple
 from cadinterop.common.diagnostics import Category, IssueLog, Severity
 from cadinterop.common.geometry import Point, Segment, Transform
 from cadinterop.schematic.model import Instance, Page, SchematicError, Symbol, Wire
+from cadinterop.schematic.spatial import PageIndex
 from cadinterop.schematic.symbolmap import SymbolMapping
 
 
@@ -64,6 +65,7 @@ def replace_component(
     target_symbol: Symbol,
     log: Optional[IssueLog] = None,
     strategy: str = "minimal",
+    index: Optional[PageIndex] = None,
 ) -> ReplacementStats:
     """Replace one instance on ``page`` per ``mapping``, rerouting its nets.
 
@@ -71,6 +73,11 @@ def replace_component(
     with the mapping's origin offset and rotation code, so it lands where
     the original sat.  Wires attached to each source pin are rerouted to the
     corresponding target pin (through the pin-name map).
+
+    ``index`` is the :class:`PageIndex` of ``page.wires``; callers replacing
+    many instances on one page pass the same index to every call, and each
+    call re-files the wires it rewrites.  Without one, a fresh index is
+    built.
     """
     if strategy not in ("minimal", "naive"):
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -106,17 +113,25 @@ def replace_component(
             stats.moved_pins += 1
 
     page.remove_instance(instance_name)
-    page.add_instance(new_instance)
+    # The name was just freed, so skip add_instance's duplicate scan.
+    page.instances.append(new_instance)
 
-    for wire_index, wire in enumerate(list(page.wires)):
+    if index is None:
+        index = PageIndex(page.wires)
+    # Only a wire with a segment through an old pin position can end on it
+    # or tap it mid-segment; every other wire is left as it is.
+    wires_at_pin = {old_pos: index.wires_at(old_pos) for old_pos in pin_moves}
+
+    for wire_index in sorted(set().union(*wires_at_pin.values())):
+        wire = page.wires[wire_index]
         attached_ends = [
             (end_index, point)
             for end_index, point in ((0, wire.points[0]), (-1, wire.points[-1]))
             if point in pin_moves
         ]
         mid_attach = any(
-            wire.touches_point(old_pos) and old_pos not in wire.endpoints
-            for old_pos in pin_moves
+            wire_index in touching and old_pos not in wire.endpoints
+            for old_pos, touching in wires_at_pin.items()
         )
         if mid_attach:
             log.add(
@@ -127,10 +142,12 @@ def replace_component(
         if not attached_ends:
             continue
 
+        old_points = list(wire.points)
         if strategy == "naive":
             _naive_reroute(wire, attached_ends, pin_moves, stats)
         else:
             _minimal_reroute(wire, attached_ends, pin_moves, stats)
+        index.update(wire_index, old_points)
 
     return stats
 

@@ -117,6 +117,28 @@ class TestVLRoundTrip:
                 io_vl.load_schematic(f"{head}{record}\nENDPAGE\nEND\n", vl_libs)
 
 
+class TestVLWireRecordErrors:
+    """Malformed ``W`` records fail typed, with the record and its line."""
+
+    HEAD = "VLSCHEM 1 c viewdraw-like\n# a comment line\nPAGE 1 0 0 100 100\n"
+
+    @pytest.mark.parametrize("record,reason", [
+        ("W - 2 0 0 30 40", "not Manhattan"),
+        ("W - 1 0 0", "at least two points"),
+        ("W - 2 5 5 5 5", "two distinct points"),
+        ("W - two 0 0 30 0", "invalid literal"),
+        ("W - 2 0 0 30 0 @ x 3", "invalid literal"),
+        ("W -", "missing field"),
+        ("W", "missing field"),
+    ], ids=["non-manhattan", "single-point", "coincident-points", "non-integer-count",
+            "non-integer-anchor", "missing-count", "missing-label"])
+    def test_bad_wire_record(self, vl_libs, record, reason):
+        text = f"{self.HEAD}{record}\nENDPAGE\nEND\n"
+        with pytest.raises(VLFormatError, match=reason) as caught:
+            io_vl.load_schematic(text, vl_libs)
+        assert f"line 4: bad wire record {record!r}" in str(caught.value)
+
+
 class TestCDRoundTrip:
     def test_library_roundtrip(self, vl_libs):
         lib = vl_libs.library("vl_builtin")
@@ -162,6 +184,28 @@ class TestCDRoundTrip:
             assert loaded.pages[0].wires[0].label_position == anchor
         with pytest.raises(CDFormatError, match="anchor"):
             io_cd.load_schematic(page('(wire (anchor 17) (pts 0 0 40 0))'), vl_libs)
+
+
+class TestCDWireErrors:
+    """Malformed ``(wire ...)`` sections fail typed, with the section and its place."""
+
+    @pytest.mark.parametrize("wire,reason", [
+        ("(wire (pts 0 0 30 40))", "not Manhattan"),
+        ("(wire (pts 0 0))", "at least two points"),
+        ("(wire (pts 5 5 5 5))", "two distinct points"),
+        ("(wire (pts 0 0 1.5 0))", "expected integer"),
+        ("(wire (label))", "missing field"),
+        ("(wire)", "at least two points"),
+    ], ids=["non-manhattan", "single-point", "coincident-points", "non-integer",
+            "missing-label", "missing-points"])
+    def test_bad_wire_section(self, vl_libs, wire, reason):
+        text = (
+            '(schematic "c" "composer-like" (page 1 (frame 0 0 100 100) '
+            f'(wire (pts 0 0 10 0)) {wire}))'
+        )
+        with pytest.raises(CDFormatError, match=reason) as caught:
+            io_cd.load_schematic(text, vl_libs)
+        assert str(caught.value).startswith("page 1 wire 2: bad wire [wire")
 
 
 class TestCrossFormat:

@@ -109,6 +109,11 @@ class TestPageAndSchematic:
         with pytest.raises(ValueError):
             Wire([Point(0, 0), Point(3, 4)])  # diagonal
 
+    def test_wire_needs_a_segment(self):
+        with pytest.raises(SchematicError, match="two distinct points"):
+            Wire([Point(5, 5), Point(5, 5), Point(5, 5)])
+        assert len(Wire([Point(5, 5), Point(5, 5), Point(5, 9)]).segments()) == 1
+
     def test_ports(self):
         cell = Schematic("c", VIEWDRAW_LIKE.name)
         cell.add_port(Port("clk", PinDirection.INPUT))
