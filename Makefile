@@ -45,9 +45,9 @@ audit:
 checklist:
 	$(PYTHON) -m cadinterop.cli checklist --scenario full-asic
 
-# Kernel equivalence (compiled vs interpreter oracle) + the E18 speedup row.
+# Production simulator vs the reference oracle + the E18 speedup row.
 kernels:
-	$(PYTHON) -m pytest tests/hdl/test_kernel_differential.py -q
+	$(PYTHON) -m pytest tests/hdl/test_kernel_differential.py tests/hdl/test_kernel_generated.py -q
 	$(PYTHON) -m pytest benchmarks/test_bench_kernel_compile.py -s --benchmark-disable
 
 all: test bench examples

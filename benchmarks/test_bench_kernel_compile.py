@@ -1,19 +1,24 @@
-"""E18 — compiled kernel speedup on the race-ensemble workload.
+"""E18 — compiled simulator speedup on the race-ensemble workload.
 
-The closure-compiled kernel exists for one reason: ensemble runs
-(``detect_races``, co-simulation sweeps) execute the *same model* many
-times, and re-elaborating plus tree-walking per run repeats work whose
-result cannot change.  Rows: interpreter vs compiled wall time and
-activations/second on a personality-ensemble workload over a pipeline
-with combinational clouds and deliberate write races.  Expected shape:
-compiled >= 3x interpreter throughput, identical race verdicts, and obs
-traces showing exactly one ``hdl:compile`` span serving all runs.
+The production simulator runs closure-compiled models for one reason:
+ensemble runs (``detect_races``, co-simulation sweeps) execute the *same
+model* many times, and re-elaborating plus tree-walking per run repeats
+work whose result cannot change.  Rows: the reference interpreter
+(``tests/hdl/oracle.py``, run through its ``reference_ensemble``) vs the
+production ``detect_races`` wall time, and activations/second, on a
+personality-ensemble workload over a pipeline with combinational clouds
+and deliberate write races.  Expected shape: compiled >= 3x interpreter
+throughput, identical race verdicts, and obs traces showing exactly one
+``hdl:compile`` span serving all runs.
 
-The speedup is measured so that a busy host cannot favour one kernel: the
+The speedup is measured so that a busy host cannot favour one side: the
 interpreter and compiled runs alternate in pairs, the interpreter first on
 even pairs and second on odd ones, and the gate is the median of the
 per-pair ratios, so a burst of host load slows both halves of a pair or
 spoils only that pair.
+
+Run from the repository root (``python -m pytest``), so that the
+``tests`` package with the oracle is importable.
 """
 
 import statistics
@@ -23,6 +28,7 @@ from cadinterop.hdl.compile import compile_calls
 from cadinterop.hdl.parser import parse_module
 from cadinterop.hdl.races import detect_races
 from cadinterop.obs import disable_tracing, enable_tracing
+from tests.hdl.oracle import ReferenceSimulator, reference_ensemble
 
 MIN_SPEEDUP = 3.0
 PAIRS = 10
@@ -60,11 +66,18 @@ def build_workload(stages=10, toggles=40):
     return parse_module("\n".join(lines))
 
 
+def _racy_signals(module, kernel):
+    """One race ensemble; the racy signals it reports."""
+    if kernel == "interp":
+        return [d.signal for d in reference_ensemble(module, until=10_000)]
+    return detect_races(module, until=10_000).racy_signals
+
+
 def _time_ensemble(module, kernel, rounds):
     start = time.perf_counter()
     for _ in range(rounds):
-        report = detect_races(module, until=10_000, kernel=kernel)
-    return time.perf_counter() - start, report
+        racy = _racy_signals(module, kernel)
+    return time.perf_counter() - start, racy
 
 
 class TestKernelSpeedup:
@@ -73,23 +86,22 @@ class TestKernelSpeedup:
         rounds = 4 * bench_scale
         kernels = ("interp", "compiled")
         for kernel in kernels:  # untimed warm-up
-            detect_races(module, until=10_000, kernel=kernel)
+            _racy_signals(module, kernel)
         times = {kernel: [] for kernel in kernels}
         reports = {}
         for pair in range(PAIRS):
             for kernel in kernels if pair % 2 == 0 else kernels[::-1]:
                 elapsed, reports[kernel] = _time_ensemble(module, kernel, rounds)
                 times[kernel].append(elapsed)
-        interp_report, compiled_report = reports["interp"], reports["compiled"]
+        interp_racy, compiled_racy = reports["interp"], reports["compiled"]
         speedup = statistics.median(
             interp / compiled for interp, compiled in zip(times["interp"], times["compiled"])
         )
         interp_time = statistics.median(times["interp"])
         compiled_time = statistics.median(times["compiled"])
 
-        # Same verdicts first — a fast wrong kernel is worthless.
-        assert interp_report.has_race and compiled_report.has_race
-        assert interp_report.racy_signals == compiled_report.racy_signals
+        # Same verdicts first — a fast wrong simulator is worthless.
+        assert interp_racy and interp_racy == compiled_racy
 
         rows = [
             ("interp", f"{interp_time * 1000:.1f}ms"),
@@ -98,13 +110,13 @@ class TestKernelSpeedup:
         ]
         print(f"\nE18 rows: {rows}")
         assert speedup >= MIN_SPEEDUP, (
-            f"compiled kernel only {speedup:.2f}x over interpreter "
+            f"compiled simulator only {speedup:.2f}x over interpreter "
             f"(interp {interp_time * 1000:.1f}ms, "
             f"compiled {compiled_time * 1000:.1f}ms)"
         )
 
     def test_activation_rates_and_counts_match(self, bench_scale):
-        # Activations are the unit of simulation work; both kernels must
+        # Activations are the unit of simulation work; both simulators must
         # do the same number of them (same schedule), so the speedup is
         # pure per-activation cost, not work skipped.
         from cadinterop.hdl.personalities import DEFAULT_ENSEMBLE, run_personality
@@ -114,15 +126,19 @@ class TestKernelSpeedup:
         compiled = compile_model(module)
         rates = {}
         for kernel in ("interp", "compiled"):
-            shared = compiled if kernel == "compiled" else None
             total = 0
             start = time.perf_counter()
             for _ in range(2 * bench_scale):
                 for personality in DEFAULT_ENSEMBLE:
-                    sim = run_personality(
-                        module, personality, until=10_000,
-                        kernel=kernel, compiled=shared,
-                    )
+                    if kernel == "interp":
+                        sim = ReferenceSimulator(
+                            personality.prepare(module), personality.policy
+                        )
+                        sim.run(10_000)
+                    else:
+                        sim = run_personality(
+                            module, personality, until=10_000, compiled=compiled,
+                        )
                     total += sim.activations
             elapsed = time.perf_counter() - start
             rates[kernel] = (total, total / elapsed)
@@ -142,7 +158,7 @@ class TestCompileOnceObservability:
         tracer = enable_tracing()
         try:
             before = compile_calls()
-            detect_races(module, until=1000, kernel="compiled")
+            detect_races(module, until=1000)
             spans = tracer.spans()
         finally:
             disable_tracing()
@@ -151,4 +167,3 @@ class TestCompileOnceObservability:
         sim_spans = [s for s in spans if s["name"] == "hdl:sim"]
         assert len(compile_spans) == 1
         assert len(sim_spans) >= 4  # one per personality in the ensemble
-        assert all(s["attrs"]["kernel"] == "compiled" for s in sim_spans)

@@ -1,11 +1,11 @@
 """Closure compilation of HDL models: compile once, simulate many times.
 
-The interpreter in :mod:`cadinterop.hdl.simulator` walks the AST with
-isinstance-dispatch on every process activation — fine as a reference
-semantics, wasteful as the inner loop of an ensemble.  Race detection
-(:func:`cadinterop.hdl.races.detect_races`) and co-simulation run the
-*same model* under many :class:`OrderingPolicy` variants; re-elaborating
-and re-interpreting per run repeats work whose result cannot change.
+Walking the AST with isinstance-dispatch on every process activation is
+fine as a reference semantics and wasteful as the inner loop of an
+ensemble.  Race detection (:func:`cadinterop.hdl.races.detect_races`) and
+co-simulation run the *same model* under many :class:`OrderingPolicy`
+variants; re-elaborating and re-interpreting per run repeats work whose
+result cannot change.
 
 This module splits *model* from *run*, echoing the tool-model abstraction
 of the interoperability literature: :func:`compile_model` lowers a
@@ -16,15 +16,18 @@ of the interoperability literature: :func:`compile_model` lowers a
   :mod:`cadinterop.hdl.logic` lookup tables, so an activation is closure
   calls and dict hits, no AST in sight);
 * a sensitivity *trigger index* (signal -> processes that care, with the
-  edge kind), replacing the interpreter's scan over every process on
-  every signal change;
+  edge kind), so a signal change consults only those processes instead
+  of scanning every process;
 * a driver map for multi-driver net resolution.
 
 A ``CompiledModel`` holds no simulation state and is safely shared: every
 ``Simulator(model, policy)`` spawned from it gets fresh values, queues,
-and waveforms.  Correctness is anchored by differential tests — compiled
-and interpreted kernels must produce identical waveforms under every
-ordering policy (tests/hdl/test_kernel_differential.py).
+and waveforms.  :class:`~cadinterop.hdl.simulator.Simulator` runs only
+compiled models.  Correctness is anchored by differential tests against
+the tree-walking reference interpreter in ``tests/hdl/oracle.py``: both
+must produce identical waveforms and activation counts under every
+ordering policy (``tests/hdl/test_kernel_differential.py`` over a fixed
+corpus, ``tests/hdl/test_kernel_generated.py`` over generated modules).
 """
 
 from __future__ import annotations
@@ -104,8 +107,8 @@ _BINARY_TABLES: Dict[str, Dict[str, Dict[str, str]]] = {
 def compile_expr(expr: Expr) -> ExprFn:
     """Lower an expression tree to a closure over the value map.
 
-    Semantics match :func:`cadinterop.hdl.simulator.evaluate` exactly
-    (the interpreter remains the oracle; see the differential tests).
+    Semantics match the reference interpreter's ``evaluate`` in
+    ``tests/hdl/oracle.py`` exactly (see ``tests/hdl/test_compile.py``).
     """
     if isinstance(expr, Const):
         value = expr.value
@@ -213,7 +216,7 @@ def compile_stmt(stmt: Stmt) -> StmtFn:
 
 def compile_always_body(body: Sequence[Stmt]) -> StmtFn:
     """Compile an always body; delays are rejected here, at compile time
-    (the interpreter rejects them at first activation instead)."""
+    (the reference interpreter rejects them at first activation instead)."""
     for stmt in body:
         if isinstance(stmt, Delay):
             raise HDLError("delays inside always blocks are not supported")
@@ -385,7 +388,7 @@ def _compile(module: Module) -> CompiledModel:
 
     processes: List[CompiledProcess] = []
     # signal -> process index -> kinds (insertion-ordered on both levels,
-    # so triggering preserves the interpreter's process-scan order).
+    # so triggering preserves the reference interpreter's process-scan order).
     sensitivity: Dict[str, Dict[int, List[str]]] = {}
     drivers_of: Dict[str, List[int]] = {}
     driver_id = 0
@@ -452,7 +455,7 @@ def _compile(module: Module) -> CompiledModel:
             CompiledProcess(index, "always", compile_always_body(block.body))
         )
         if block.sensitivity.is_edge_triggered():
-            # Mirrors the interpreter: an edge-triggered list ignores any
+            # Mirrors the reference interpreter: an edge-triggered list ignores any
             # stray level items.
             for item in block.sensitivity.items:
                 if item.edge != "level":
@@ -466,7 +469,7 @@ def _compile(module: Module) -> CompiledModel:
         steps = compile_initial_body(block.body)
 
         def run_initial(sim, _steps=steps) -> None:
-            sim._resume_compiled_initial(_steps, 0)
+            sim._resume_initial(_steps, 0)
 
         processes.append(CompiledProcess(index, "initial", run_initial))
 

@@ -61,14 +61,13 @@ class CoSimulation:
         left_policy: OrderingPolicy = FIFO,
         right_policy: OrderingPolicy = FIFO,
         max_exchange_iterations: int = 16,
-        kernel: Optional[str] = None,
     ) -> None:
         if value_mode not in ("correct", "naive"):
             raise ValueError(f"unknown value mode {value_mode!r}")
         # Either side may be a pre-built CompiledModel: repeated co-sim
         # sessions over the same sides then elaborate once, not per session.
-        self.left = Simulator(left, left_policy, kernel=kernel)
-        self.right = Simulator(right, right_policy, kernel=kernel)
+        self.left = Simulator(left, left_policy)
+        self.right = Simulator(right, right_policy)
         # The kernels see one tiny run() per joint time step; the cosim span
         # below covers the whole session, so keep the per-run spans quiet.
         self.left._obs_quiet = True

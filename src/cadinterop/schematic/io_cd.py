@@ -25,7 +25,8 @@ Format sketch::
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from cadinterop.common.geometry import Orientation, Point, Rect, Transform
 from cadinterop.common.properties import PropertyBag, PropertyValue
@@ -235,74 +236,91 @@ def load_schematic(text: str, libraries) -> Schematic:
     schematic = Schematic(_str(form[1]), _str(form[2]))
     for section in _sections(form, 3):
         keyword = _sym(section[0])
-        if keyword == "port":
-            schematic.add_port(Port(_str(section[1]), _sym(section[2])))
-        elif keyword == "prop":
-            _read_prop(section, schematic.properties)
-        elif keyword == "page":
+        if keyword == "page":
             _read_page(section, schematic, libraries)
-        else:
-            raise CDFormatError(f"unexpected {keyword!r} in schematic")
+            continue
+        with _record(f"schematic {keyword}", section):
+            if keyword == "port":
+                schematic.add_port(Port(_str(section[1]), _sym(section[2])))
+            elif keyword == "prop":
+                _read_prop(section, schematic.properties)
+            else:
+                raise CDFormatError(f"unexpected {keyword!r} in schematic")
     return schematic
 
 
-def _read_page(section: List[Any], schematic: Schematic, libraries) -> None:
-    frame_section = section[2]
-    if _sym(frame_section[0]) != "frame" or len(frame_section) != 5:
-        raise CDFormatError(f"bad frame section: {frame_section!r}")
-    page = schematic.add_page(Rect(*(_int(v) for v in frame_section[1:5])))
-    if page.number != _int(section[1]):
+@contextmanager
+def _record(place: str, section: List[Any]) -> Iterator[None]:
+    """Re-raise any failure to read ``section`` as a CDFormatError naming
+    ``place`` and the section.  The a/L reader keeps no source positions,
+    so the place is given by page and section ordinal, not by line."""
+    try:
+        yield
+    except (IndexError, TypeError, ValueError, SchematicError) as exc:
+        detail = "missing field" if isinstance(exc, IndexError) else exc
         raise CDFormatError(
-            f"page numbers must be sequential; got {section[1]}, expected {page.number}"
-        )
+            f"{place}: bad {_sym(section[0])} {section!r}: {detail}"
+        ) from None
+
+
+def _read_page(section: List[Any], schematic: Schematic, libraries) -> None:
+    with _record(f"page {len(schematic.pages) + 1}", section[:3]):
+        frame_section = section[2]
+        if _sym(frame_section[0]) != "frame" or len(frame_section) != 5:
+            raise CDFormatError(f"bad frame section: {frame_section!r}")
+        page = schematic.add_page(Rect(*(_int(v) for v in frame_section[1:5])))
+        if page.number != _int(section[1]):
+            raise CDFormatError(
+                f"page numbers must be sequential; got {section[1]}, expected {page.number}"
+            )
+    ordinals: Dict[str, int] = {}
     for sub in _sections(section, 3):
         keyword = _sym(sub[0])
-        if keyword == "inst":
-            ref = sub[2]
-            if not isinstance(ref, list) or len(ref) != 3:
-                raise CDFormatError(f"bad symbol reference: {ref!r}")
-            symbol = libraries.resolve(_str(ref[0]), _str(ref[1]), _str(ref[2]))
-            at = sub[3]
-            orient = sub[4]
-            if _sym(at[0]) != "at" or _sym(orient[0]) != "orient":
-                raise CDFormatError(f"bad inst placement: {sub!r}")
-            instance = Instance(
-                name=_str(sub[1]),
-                symbol=symbol,
-                transform=Transform(
-                    Point(_int(at[1]), _int(at[2])), Orientation(_sym(orient[1]))
-                ),
+        ordinals[keyword] = ordinals.get(keyword, 0) + 1
+        with _record(f"page {page.number} {keyword} {ordinals[keyword]}", sub):
+            _read_page_item(keyword, sub, page, libraries)
+
+
+def _read_page_item(keyword: str, sub: List[Any], page: Page, libraries) -> None:
+    if keyword == "inst":
+        ref = sub[2]
+        if not isinstance(ref, list) or len(ref) != 3:
+            raise CDFormatError(f"bad symbol reference: {ref!r}")
+        symbol = libraries.resolve(_str(ref[0]), _str(ref[1]), _str(ref[2]))
+        at = sub[3]
+        orient = sub[4]
+        if _sym(at[0]) != "at" or _sym(orient[0]) != "orient":
+            raise CDFormatError(f"bad inst placement: {sub!r}")
+        instance = Instance(
+            name=_str(sub[1]),
+            symbol=symbol,
+            transform=Transform(
+                Point(_int(at[1]), _int(at[2])), Orientation(_sym(orient[1]))
+            ),
+        )
+        for inner in _sections(sub, 5):
+            if _sym(inner[0]) != "prop":
+                raise CDFormatError(f"unexpected {_sym(inner[0])!r} in inst")
+            _read_prop(inner, instance.properties)
+        page.add_instance(instance)
+    elif keyword == "wire":
+        page.add_wire(_read_wire(sub))
+    elif keyword == "text":
+        at = sub[2]
+        font = sub[3]
+        if _sym(at[0]) != "at" or _sym(font[0]) != "font":
+            raise CDFormatError(f"bad text section: {sub!r}")
+        page.add_label(
+            TextLabel(
+                text=_str(sub[1]),
+                position=Point(_int(at[1]), _int(at[2])),
+                height=_int(font[1]),
+                width_per_char=_int(font[2]),
+                baseline_offset=_int(font[3]),
             )
-            for inner in _sections(sub, 5):
-                if _sym(inner[0]) != "prop":
-                    raise CDFormatError(f"unexpected {_sym(inner[0])!r} in inst")
-                _read_prop(inner, instance.properties)
-            page.add_instance(instance)
-        elif keyword == "wire":
-            try:
-                page.add_wire(_read_wire(sub))
-            except (IndexError, ValueError, SchematicError) as exc:
-                detail = "missing field" if isinstance(exc, IndexError) else exc
-                raise CDFormatError(
-                    f"page {page.number} wire {len(page.wires) + 1}: "
-                    f"bad wire {sub!r}: {detail}"
-                ) from None
-        elif keyword == "text":
-            at = sub[2]
-            font = sub[3]
-            if _sym(at[0]) != "at" or _sym(font[0]) != "font":
-                raise CDFormatError(f"bad text section: {sub!r}")
-            page.add_label(
-                TextLabel(
-                    text=_str(sub[1]),
-                    position=Point(_int(at[1]), _int(at[2])),
-                    height=_int(font[1]),
-                    width_per_char=_int(font[2]),
-                    baseline_offset=_int(font[3]),
-                )
-            )
-        else:
-            raise CDFormatError(f"unexpected {keyword!r} in page")
+        )
+    else:
+        raise CDFormatError(f"unexpected {keyword!r} in page")
 
 
 def _read_wire(section: List[Any]) -> Wire:

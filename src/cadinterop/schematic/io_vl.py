@@ -204,77 +204,79 @@ def load_schematic(text: str, libraries) -> Schematic:
     libraries installed.
     """
     numbered = _meaningful_lines(text)
-    lines = [line for _number, line in numbered]
-    if not lines or not lines[0].startswith("VLSCHEM "):
+    if not numbered or not numbered[0][1].startswith("VLSCHEM "):
         raise VLFormatError("missing VLSCHEM header")
-    header = lines[0].split()
+    header = numbered[0][1].split()
     if len(header) != 4:
-        raise VLFormatError(f"bad VLSCHEM header: {lines[0]!r}")
+        raise VLFormatError(f"bad VLSCHEM header: {numbered[0][1]!r}")
     schematic = Schematic(_decode(header[2]), _decode(header[3]))
 
     page: Optional[Page] = None
     last_instance: Optional[Instance] = None
-    index = 1
-    while index < len(lines):
-        line = lines[index]
+    for number, line in numbered[1:]:
         fields = line.split()
         keyword = fields[0]
         if keyword == "END":
             return schematic
-        if keyword == "PORT":
-            schematic.add_port(Port(_decode(fields[1]), fields[2]))
-        elif keyword == "CPROP":
-            schematic.properties.set(_decode(fields[1]), _decode_value(fields[2], fields[3]))
-        elif keyword == "PAGE":
-            frame = Rect(int(fields[2]), int(fields[3]), int(fields[4]), int(fields[5]))
-            page = schematic.add_page(frame)
-            if page.number != int(fields[1]):
-                raise VLFormatError(
-                    f"page numbers must be sequential; got {fields[1]}, expected {page.number}"
+        try:
+            if keyword == "PORT":
+                schematic.add_port(Port(_decode(fields[1]), fields[2]))
+            elif keyword == "CPROP":
+                schematic.properties.set(_decode(fields[1]), _decode_value(fields[2], fields[3]))
+            elif keyword == "PAGE":
+                frame = Rect(int(fields[2]), int(fields[3]), int(fields[4]), int(fields[5]))
+                page = schematic.add_page(frame)
+                if page.number != int(fields[1]):
+                    raise VLFormatError(
+                        f"page numbers must be sequential; got {fields[1]}, expected {page.number}"
+                    )
+            elif keyword == "ENDPAGE":
+                page = None
+                last_instance = None
+            elif keyword == "I":
+                if page is None:
+                    raise VLFormatError("instance record outside PAGE")
+                symbol = libraries.resolve(_decode(fields[2]), _decode(fields[3]), _decode(fields[4]))
+                last_instance = Instance(
+                    name=_decode(fields[1]),
+                    symbol=symbol,
+                    transform=Transform(Point(int(fields[5]), int(fields[6])), Orientation(fields[7])),
                 )
-        elif keyword == "ENDPAGE":
-            page = None
-            last_instance = None
-        elif keyword == "I":
-            if page is None:
-                raise VLFormatError("instance record outside PAGE")
-            symbol = libraries.resolve(_decode(fields[2]), _decode(fields[3]), _decode(fields[4]))
-            last_instance = Instance(
-                name=_decode(fields[1]),
-                symbol=symbol,
-                transform=Transform(Point(int(fields[5]), int(fields[6])), Orientation(fields[7])),
-            )
-            page.add_instance(last_instance)
-        elif keyword == "IPROP":
-            if last_instance is None:
-                raise VLFormatError("IPROP record without preceding instance")
-            last_instance.properties.set(_decode(fields[1]), _decode_value(fields[2], fields[3]))
-        elif keyword == "W":
-            if page is None:
-                raise VLFormatError("wire record outside PAGE")
-            try:
+                page.add_instance(last_instance)
+            elif keyword == "IPROP":
+                if last_instance is None:
+                    raise VLFormatError("IPROP record without preceding instance")
+                last_instance.properties.set(_decode(fields[1]), _decode_value(fields[2], fields[3]))
+            elif keyword == "W":
+                if page is None:
+                    raise VLFormatError("wire record outside PAGE")
                 page.add_wire(_read_wire(fields))
-            except (IndexError, ValueError, SchematicError) as exc:
-                detail = "missing field" if isinstance(exc, IndexError) else exc
-                raise VLFormatError(
-                    f"line {numbered[index][0]}: bad wire record {line!r}: {detail}"
-                ) from None
-        elif keyword == "T":
-            if page is None:
-                raise VLFormatError("text record outside PAGE")
-            page.add_label(
-                TextLabel(
-                    text=_decode(" ".join(fields[6:])),
-                    position=Point(int(fields[1]), int(fields[2])),
-                    height=int(fields[3]),
-                    width_per_char=int(fields[4]),
-                    baseline_offset=int(fields[5]),
+            elif keyword == "T":
+                if page is None:
+                    raise VLFormatError("text record outside PAGE")
+                page.add_label(
+                    TextLabel(
+                        text=_decode(" ".join(fields[6:])),
+                        position=Point(int(fields[1]), int(fields[2])),
+                        height=int(fields[3]),
+                        width_per_char=int(fields[4]),
+                        baseline_offset=int(fields[5]),
+                    )
                 )
-            )
-        else:
-            raise VLFormatError(f"unknown record {keyword!r}")
-        index += 1
+            else:
+                raise VLFormatError(f"unknown record {keyword!r}")
+        except (IndexError, ValueError, SchematicError) as exc:
+            detail = "missing field" if isinstance(exc, IndexError) else exc
+            record = _RECORD_NAMES.get(keyword, keyword)
+            raise VLFormatError(f"line {number}: bad {record} record {line!r}: {detail}") from None
     raise VLFormatError("missing END record")
+
+
+#: Record keyword -> the name error messages give it.
+_RECORD_NAMES = {
+    "PORT": "port", "CPROP": "property", "PAGE": "page", "ENDPAGE": "end-of-page",
+    "I": "instance", "IPROP": "instance property", "W": "wire", "T": "text",
+}
 
 
 def _read_wire(fields: List[str]) -> Wire:

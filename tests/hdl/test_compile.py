@@ -1,7 +1,7 @@
 """Tests for the closure-compilation layer (cadinterop.hdl.compile).
 
-The interpreter (``evaluate`` / ``Simulator`` process objects) is the
-reference semantics; ``compile_expr`` / ``compile_model`` must agree with
+The reference interpreter (``evaluate`` / ``ReferenceSimulator`` in
+``tests/hdl/oracle.py``) is the reference semantics; ``compile_expr`` / ``compile_model`` must agree with
 it everywhere.  These tests sweep expressions and gates exhaustively over
 small input spaces and check the model/run split — one CompiledModel
 shared by many Simulators with zero state bleed.
@@ -35,7 +35,8 @@ from cadinterop.hdl.compile import (
 )
 from cadinterop.hdl.logic import Logic4
 from cadinterop.hdl.parser import parse_module
-from cadinterop.hdl.simulator import FIFO, LIFO, Simulator, evaluate
+from cadinterop.hdl.simulator import FIFO, LIFO, Simulator
+from tests.hdl.oracle import ReferenceSimulator, evaluate
 
 V4 = Logic4.VALUES
 BINARY_OPERATORS = ["&", "&&", "|", "||", "^", "~^", "==", "!=", "===", "!=="]
@@ -113,7 +114,7 @@ class TestGateEquivalence:
         module = gate_module(gate, inputs)
         for combo in itertools.product(V4, repeat=arity):
             values = dict(zip(inputs, combo))
-            sim = Simulator(module, FIFO, kernel="interp")
+            sim = ReferenceSimulator(module, FIFO)
             for name, value in values.items():
                 sim.set_signal(name, value)
             sim.run(10)
@@ -127,7 +128,7 @@ class TestGateEquivalence:
         module = gate_module(gate, inputs)
         for combo in itertools.product(V4, repeat=len(inputs)):
             values = dict(zip(inputs, combo))
-            sim = Simulator(module, FIFO, kernel="interp")
+            sim = ReferenceSimulator(module, FIFO)
             for name, value in values.items():
                 sim.set_signal(name, value)
             sim.run(10)
@@ -183,23 +184,12 @@ class TestCompileModel:
         third.run(100)
         assert third.values == first.values
 
-    def test_compiled_model_with_interp_kernel_is_an_error(self):
-        module = parse_module("module m; reg a; endmodule")
-        model = compile_model(module)
-        with pytest.raises(HDLError):
-            Simulator(model, FIFO, kernel="interp")
-
-    def test_unknown_kernel_rejected(self):
-        module = parse_module("module m; reg a; endmodule")
-        with pytest.raises(ValueError):
-            Simulator(module, FIFO, kernel="turbo")
-
     def test_compile_calls_counter_advances_once_per_compile(self):
         module = parse_module("module m; reg a; endmodule")
         before = compile_calls()
         compile_model(module)
         assert compile_calls() == before + 1
-        Simulator(module, FIFO)  # kernel="compiled" default compiles once
+        Simulator(module, FIFO)  # a Module is compiled once
         assert compile_calls() == before + 2
         model = compile_model(module)
         baseline = compile_calls()
@@ -218,7 +208,7 @@ class TestCompileModel:
             endmodule
             """
         )
-        for kernel in ("interp", "compiled"):
-            sim = Simulator(module, FIFO, kernel=kernel)
+        for simulator in (ReferenceSimulator, Simulator):
+            sim = simulator(module, FIFO)
             sim.run(10)
-            assert sim.value("w") == "1", kernel
+            assert sim.value("w") == "1", simulator.__name__

@@ -1,11 +1,12 @@
-"""Differential tests: compiled kernel vs the interpreter oracle.
+"""Differential tests: the production simulator vs the reference oracle.
 
-The compiled kernel is only allowed to be *faster*, never *different*:
-for every module in the corpus and every ordering policy, final values
-and full waveforms must be identical between ``kernel="interp"`` and
-``kernel="compiled"``.  The corpus deliberately includes racy models —
-where the policy choice is observable — so the test also proves the two
-kernels present races to the policies in the same order.
+The production :class:`Simulator` is only allowed to be *faster* than the
+tree-walking :class:`~tests.hdl.oracle.ReferenceSimulator`, never
+*different*: for every module in the corpus and every ordering policy,
+final values and full waveforms must be identical.  The corpus
+deliberately includes racy models — where the policy choice is
+observable — so the test also proves the two simulators present races to
+the policies in the same order.
 """
 
 import pytest
@@ -20,8 +21,9 @@ from cadinterop.hdl.simulator import (
     Simulator,
     seeded_shuffle_policy,
 )
+from tests.hdl.oracle import ReferenceSimulator, reference_ensemble
 
-#: name -> HDL source.  Everything the kernels implement is represented:
+#: name -> HDL source.  Everything the simulator implements is represented:
 #: continuous assigns (plain/delayed/multi-driver), the gate primitives
 #: incl. tristate, level/edge/star sensitivity, blocking vs nonblocking
 #: races, x/z conditional semantics, and delayed initial sequencing.
@@ -103,10 +105,8 @@ POLICIES = [
 ]
 
 
-def run_kernel(module, policy, kernel):
-    sim = Simulator(
-        module, policy, trace_signals=sorted(module.nets), kernel=kernel
-    )
+def run_kernel(module, policy, simulator=Simulator):
+    sim = simulator(module, policy, trace_signals=sorted(module.nets))
     sim.run(1000)
     return sim
 
@@ -116,8 +116,8 @@ class TestWaveformEquivalence:
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_compiled_matches_interpreter(self, name, policy_name, policy):
         module = parse_module(CORPUS[name])
-        interp = run_kernel(module, policy, "interp")
-        compiled = run_kernel(module, policy, "compiled")
+        interp = run_kernel(module, policy, ReferenceSimulator)
+        compiled = run_kernel(module, policy)
         assert interp.values == compiled.values, (name, policy_name)
         assert interp.waveforms == compiled.waveforms, (name, policy_name)
         # Same number of scheduling decisions means the policies saw the
@@ -129,7 +129,7 @@ class TestWaveformEquivalence:
         module = parse_module(CORPUS[name])
         model = compile_model(module)
         for _, policy in POLICIES:
-            fresh = run_kernel(module, policy, "compiled")
+            fresh = run_kernel(module, policy)
             shared = Simulator(model, policy, trace_signals=sorted(module.nets))
             shared.run(1000)
             assert fresh.values == shared.values
@@ -140,24 +140,20 @@ class TestEnsembleEquivalence:
     def test_detect_races_verdicts_agree_across_kernels(self):
         for name, src in sorted(CORPUS.items()):
             module = parse_module(src)
-            interp = detect_races(module, until=1000, kernel="interp")
-            compiled = detect_races(module, until=1000, kernel="compiled")
-            assert interp.has_race == compiled.has_race, name
-            assert interp.racy_signals == compiled.racy_signals, name
-            for a, b in zip(interp.divergences, compiled.divergences):
-                assert a.final_values == b.final_values, name
+            compiled = detect_races(module, until=1000)
+            assert compiled.divergences == reference_ensemble(module, until=1000), name
 
     def test_ensemble_compiles_exactly_once(self):
         module = parse_module(CORPUS["racy_blocking"])
         before = compile_calls()
-        detect_races(module, until=1000, kernel="compiled")
+        detect_races(module, until=1000)
         assert compile_calls() == before + 1
         assert len(DEFAULT_ENSEMBLE) >= 4  # one compile serves all of these
 
     def test_interp_ensemble_never_compiles(self):
         module = parse_module(CORPUS["racy_blocking"])
         before = compile_calls()
-        detect_races(module, until=1000, kernel="interp")
+        reference_ensemble(module, until=1000)
         assert compile_calls() == before
 
 
@@ -167,8 +163,8 @@ class TestPolicyDeterminism:
         # reuses its shuffle personalities across detect_races calls.
         module = parse_module(CORPUS["racy_blocking"])
         policy = seeded_shuffle_policy(1234)
-        first = run_kernel(module, policy, "compiled")
-        second = run_kernel(module, policy, "compiled")
+        first = run_kernel(module, policy)
+        second = run_kernel(module, policy)
         assert first.values == second.values
         assert first.waveforms == second.waveforms
 

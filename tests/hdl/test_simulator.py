@@ -5,6 +5,7 @@ import pytest
 from cadinterop.hdl.ast_nodes import HDLError
 from cadinterop.hdl.parser import parse_module
 from cadinterop.hdl.simulator import FIFO, LIFO, Simulator, seeded_shuffle_policy, simulate
+from tests.hdl.oracle import ReferenceSimulator
 
 
 def run(src, until=1000, policy=FIFO):
@@ -271,12 +272,14 @@ class TestKernelGuards:
         sim.run(200)
         assert sim.value("a") == "1"
 
-    @pytest.mark.parametrize("kernel", ["interp", "compiled"])
-    def test_run_until_returns_last_event_time(self, kernel):
-        sim = Simulator(parse_module(
+    @pytest.mark.parametrize(
+        "simulator", [ReferenceSimulator, Simulator], ids=["interp", "compiled"]
+    )
+    def test_run_until_returns_last_event_time(self, simulator):
+        sim = simulator(parse_module(
             "module m (); reg a; initial begin a = 1'b0; #30 a = 1'b1; #70 a = 1'b0; end"
             " endmodule"
-        ), kernel=kernel)
+        ))
         # The last event at or before ``until`` sets the time; later events
         # stay pending.
         assert sim.run(50) == 30

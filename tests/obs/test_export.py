@@ -116,6 +116,19 @@ class TestCorruptInput:
         errors = "\n".join(validate_trace(path))
         assert "unknown trace format 3" in errors
 
+    def test_reader_and_validator_accept_the_same_formats(self, tmp_path):
+        path = tmp_path / "meta.jsonl"
+        for version in READABLE_FORMATS + (max(READABLE_FORMATS) + 1,):
+            path.write_text(json.dumps({"record": "meta", "format": version,
+                                        "trace_id": "x"}) + "\n")
+            try:
+                read_trace(path)
+                readable = True
+            except ValueError:
+                readable = False
+            errors = "\n".join(validate_trace(path))
+            assert readable == ("unknown trace format" not in errors), version
+
     def test_non_object_record_is_refused(self, tmp_path):
         path = tmp_path / "list.jsonl"
         path.write_text("[1, 2, 3]\n")

@@ -1,5 +1,7 @@
 """Round-trip tests for the two vendor file formats."""
 
+import random
+
 import pytest
 
 from cadinterop.common.geometry import Point
@@ -11,6 +13,7 @@ from cadinterop.schematic.netlist import extract
 from cadinterop.schematic.samples import (
     build_sample_schematic,
     build_vl_libraries,
+    generate_chain_schematic,
 )
 
 
@@ -206,6 +209,117 @@ class TestCDWireErrors:
         with pytest.raises(CDFormatError, match=reason) as caught:
             io_cd.load_schematic(text, vl_libs)
         assert str(caught.value).startswith("page 1 wire 2: bad wire [wire")
+
+
+class TestVLRecordErrors:
+    """Every malformed record fails typed, with its line and the record."""
+
+    HEAD = "VLSCHEM 1 c viewdraw-like\n# a comment line\nPAGE 1 0 0 100 100\n"
+
+    @pytest.mark.parametrize("record,name,reason", [
+        ("I U1 vl_builtin nosuch symbol 0 0 R0", "instance", "nosuch"),
+        ("I U1 vl_builtin", "instance", "missing field"),
+        ("I U1 vl_builtin offPage symbol 0 0 R45", "instance", "R45"),
+        ("I U1 vl_builtin offPage symbol x 0 R0", "instance", "invalid literal"),
+        ("IPROP w str", "instance property", "IPROP record without"),
+        ("PAGE 2 0 0 10", "page", "missing field"),
+        ("PAGE 2 0 0 10 x", "page", "invalid literal"),
+        ("PAGE 3 0 0 10 10", "page", "sequential"),
+        ("PAGE 2 10 10 0 0", "page", "degenerate rect"),
+        ("T 1 2 3", "text", "missing field"),
+        ("PORT a", "port", "missing field"),
+        ("CPROP k int x", "property", "invalid literal"),
+        ("Q 1 2", "Q", "unknown record"),
+    ], ids=["unknown-master", "short-instance", "bad-orientation", "bad-offset",
+            "iprop-without-instance", "short-page", "bad-frame", "page-number",
+            "inverted-frame", "short-text", "short-port", "bad-property", "unknown"])
+    def test_bad_record(self, vl_libs, record, name, reason):
+        text = f"{self.HEAD}{record}\nENDPAGE\nEND\n"
+        with pytest.raises(VLFormatError, match=reason) as caught:
+            io_vl.load_schematic(text, vl_libs)
+        assert str(caught.value).startswith(f"line 4: bad {name} record {record!r}")
+
+
+class TestCDSectionErrors:
+    """Malformed sections fail typed, naming their page and ordinal."""
+
+    @pytest.mark.parametrize("section,place", [
+        ('(inst "U1" ("vl_builtin" "nosuch" "symbol") (at 0 0) (orient R0))',
+         "page 1 inst 1: bad inst"),
+        ('(inst "U1" ("vl_builtin" "offPage" "symbol") 7 (orient R0))',
+         "page 1 inst 1: bad inst"),
+        ('(inst "U1" ("vl_builtin" "offPage" "symbol"))', "page 1 inst 1: bad inst"),
+        ('(text "t" (at 1 2))', "page 1 text 1: bad text"),
+        ("(frob 1)", "page 1 frob 1: bad frob"),
+    ], ids=["unknown-master", "placement-not-a-section", "short-inst", "short-text",
+            "unknown"])
+    def test_bad_page_section(self, vl_libs, section, place):
+        text = f'(schematic "c" "composer-like" (page 1 (frame 0 0 100 100) {section}))'
+        with pytest.raises(CDFormatError) as caught:
+            io_cd.load_schematic(text, vl_libs)
+        assert str(caught.value).startswith(place)
+
+    @pytest.mark.parametrize("page,place", [
+        ("(page 1)", "page 1: bad page"),
+        ("(page 1 (frame 0 0 10))", "page 1: bad page"),
+        ("(page 2 (frame 0 0 10 10))", "page 1: bad page"),
+    ], ids=["no-frame", "short-frame", "page-number"])
+    def test_bad_page_header(self, vl_libs, page, place):
+        with pytest.raises(CDFormatError) as caught:
+            io_cd.load_schematic(f'(schematic "c" "composer-like" {page})', vl_libs)
+        assert str(caught.value).startswith(place)
+
+    def test_bad_port(self, vl_libs):
+        with pytest.raises(CDFormatError, match="^schematic port: bad port"):
+            io_cd.load_schematic('(schematic "c" "composer-like" (port "a"))', vl_libs)
+
+
+def _mutate(text, rng):
+    """One random line-level edit: drop, truncate or swap lines, or drop,
+    replace or insert a space-separated field."""
+    junk = ["", "x", "-1", "0", "1.5", "@", "-", "%zz", "R90", "(", ")", '"q"', "nan"]
+    lines = text.splitlines()
+    i = rng.randrange(len(lines))
+    fields = lines[i].split(" ")
+    edit = rng.randrange(6)
+    if edit == 0:
+        del lines[i]
+    elif edit == 1:
+        del fields[rng.randrange(len(fields))]
+        lines[i] = " ".join(fields)
+    elif edit == 2:
+        fields[rng.randrange(len(fields))] = rng.choice(junk)
+        lines[i] = " ".join(fields)
+    elif edit == 3:
+        fields.insert(rng.randrange(len(fields) + 1), rng.choice(junk))
+        lines[i] = " ".join(fields)
+    elif edit == 4:
+        lines[i] = lines[i][: rng.randrange(len(lines[i]) + 1)]
+    else:
+        j = rng.randrange(len(lines))
+        lines[i], lines[j] = lines[j], lines[i]
+    return "\n".join(lines) + "\n"
+
+
+class TestSeededMutations:
+    """Seeded line mutations of a generated two-page design: a loader may
+    accept the result or raise a SchematicError, nothing else."""
+
+    @pytest.mark.parametrize("fmt", ["vl", "cd"])
+    def test_only_schematic_errors_escape(self, vl_libs, fmt):
+        module = io_vl if fmt == "vl" else io_cd
+        cell = generate_chain_schematic(
+            vl_libs, pages=2, chains_per_page=2, stages=3, seed=5
+        )
+        text = module.dump_schematic(cell)
+        rng = random.Random(1)
+        rejected = 0
+        for _ in range(600):
+            try:
+                module.load_schematic(_mutate(text, rng), vl_libs)
+            except SchematicError:
+                rejected += 1
+        assert rejected > 300  # the mutations do break most files
 
 
 class TestCrossFormat:
