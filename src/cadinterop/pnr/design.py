@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from cadinterop.common.geometry import Orientation, Point, Rect, Transform
+from cadinterop.common.geometry import ORIGIN, Orientation, Point, Rect, Transform
 from cadinterop.pnr.cells import CellAbstract
 
 
@@ -35,6 +35,15 @@ class PnRInstance:
         box = self.cell.pin(pin_name).bounding_box()
         transform = Transform(self.location, self.orientation)
         return transform.apply_rect(box).center
+
+    def pin_offset(self, pin_name: str) -> Point:
+        """:meth:`pin_position` minus the location, wherever it is placed.
+
+        The center's floor division commutes with a translation by whole
+        units, so the offset depends only on the orientation.
+        """
+        box = self.cell.pin(pin_name).bounding_box()
+        return Transform(ORIGIN, self.orientation).apply_rect(box).center
 
 
 #: A net terminal: ("inst", instance name, pin name) or ("pad", pad name, "").
@@ -87,10 +96,3 @@ class PnRDesign:
 
     def all_placed(self) -> bool:
         return all(instance.placed for instance in self.instances.values())
-
-    def nets_of_instance(self, instance_name: str) -> List[str]:
-        return [
-            net
-            for net, terminals in self.nets.items()
-            if any(k == "inst" and i == instance_name for k, i, _p in terminals)
-        ]

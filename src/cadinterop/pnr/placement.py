@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from cadinterop.common.geometry import Point, Rect
-from cadinterop.pnr.design import PnRDesign, PnRInstance, Terminal
+from cadinterop.pnr.design import PnRDesign, PnRInstance
 from cadinterop.pnr.floorplan import Floorplan
 from cadinterop.pnr.tech import Technology
 
@@ -117,15 +117,17 @@ class RowPlacer:
             instance.location = slot
 
         # Greedy improvement: swap pairs if HPWL improves.
+        nets, nets_of = _net_index(design, pad_positions)
         improvements = 0
         for _ in range(swap_passes):
             improved = False
             for i in range(len(order)):
                 for j in range(i + 1, min(i + 8, len(order))):
                     a, b = order[i], order[j]
-                    before = self._local_hpwl(design, [a, b], pad_positions)
+                    touched = [nets[k] for k in nets_of[a.name] | nets_of[b.name]]
+                    before = sum(map(_span, touched))
                     a.location, b.location = b.location, a.location
-                    after = self._local_hpwl(design, [a, b], pad_positions)
+                    after = sum(map(_span, touched))
                     if after < before:
                         improvements += 1
                         improved = True
@@ -142,32 +144,48 @@ class RowPlacer:
             swap_improvements=improvements,
         )
 
-    def _local_hpwl(
-        self,
-        design: PnRDesign,
-        instances: Sequence[PnRInstance],
-        pad_positions: Optional[Dict[str, Point]],
-    ) -> int:
-        """HPWL over only the nets touching ``instances`` (cheap delta)."""
-        names = {instance.name for instance in instances}
-        pads = pad_positions or {}
-        total = 0
-        seen: Set[str] = set()
-        for net, terminals in design.nets.items():
-            if net in seen:
-                continue
-            if not any(k == "inst" and i in names for k, i, _p in terminals):
-                continue
-            seen.add(net)
-            points: List[Point] = []
-            for kind, name, pin in terminals:
-                if kind == "inst":
-                    instance = design.instance(name)
-                    if instance.placed:
-                        points.append(instance.pin_position(pin))
-                elif name in pads:
-                    points.append(pads[name])
-            if len(points) >= 2:
-                box = Rect.bounding(points)
-                total += box.width + box.height
-        return total
+
+#: One net as the swap loop sees it: its placed pins as (instance, pin
+#: offset x, pin offset y) and its pad positions.
+_Net = Tuple[Tuple[Tuple[PnRInstance, int, int], ...], Tuple[Point, ...]]
+
+
+def _net_index(
+    design: PnRDesign, pad_positions: Optional[Dict[str, Point]]
+) -> Tuple[List[_Net], Dict[str, Set[int]]]:
+    """The nets that have an HPWL, and instance name -> indices of its nets.
+
+    Swaps move instances but never change which are placed or how they are
+    oriented, so pin offsets and the index hold for a whole ``place`` call
+    and a swap re-reads only the two moved locations.
+    """
+    pads = pad_positions or {}
+    nets: List[_Net] = []
+    nets_of: Dict[str, Set[int]] = {name: set() for name in design.instances}
+    for terminals in design.nets.values():
+        pins: List[Tuple[PnRInstance, int, int]] = []
+        fixed: List[Point] = []
+        for kind, name, pin in terminals:
+            if kind == "inst":
+                instance = design.instance(name)
+                if instance.placed:
+                    offset = instance.pin_offset(pin)
+                    pins.append((instance, offset.x, offset.y))
+            elif name in pads:
+                fixed.append(pads[name])
+        if len(pins) + len(fixed) < 2:
+            continue
+        for instance, _dx, _dy in pins:
+            nets_of[instance.name].add(len(nets))
+        nets.append((tuple(pins), tuple(fixed)))
+    return nets, nets_of
+
+
+def _span(net: _Net) -> int:
+    """The net's half-perimeter at the instances' current locations."""
+    pins, fixed = net
+    xs = [instance.location.x + dx for instance, dx, _dy in pins]
+    ys = [instance.location.y + dy for instance, _dx, dy in pins]
+    xs.extend(point.x for point in fixed)
+    ys.extend(point.y for point in fixed)
+    return max(xs) - min(xs) + max(ys) - min(ys)

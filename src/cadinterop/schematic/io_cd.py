@@ -197,35 +197,43 @@ def load_library(text: str) -> Library:
     if len(form) < 2:
         raise CDFormatError("library form missing name")
     library = Library(_str(form[1]))
-    for section in _sections(form, 2):
-        if _sym(section[0]) != "symbol":
-            raise CDFormatError(f"unexpected {_sym(section[0])!r} in library")
-        if len(section) < 5:
-            raise CDFormatError(f"bad symbol section: {section!r}")
-        name, view, kind = _str(section[1]), _str(section[2]), _sym(section[3])
-        body_section = section[4]
-        if _sym(body_section[0]) != "body" or len(body_section) != 5:
-            raise CDFormatError(f"bad body section: {body_section!r}")
-        body = Rect(*(_int(v) for v in body_section[1:5]))
+    for ordinal, section in enumerate(_sections(form, 2), start=1):
+        place = f"symbol {ordinal}"
+        with _record(place, section[:5]):
+            if _sym(section[0]) != "symbol":
+                raise CDFormatError(f"unexpected {_sym(section[0])!r} in library")
+            if len(section) < 5:
+                raise CDFormatError("missing body")
+            name, view, kind = _str(section[1]), _str(section[2]), _sym(section[3])
+            body_section = section[4]
+            if _sym(body_section[0]) != "body" or len(body_section) != 5:
+                raise CDFormatError(f"bad body section: {body_section!r}")
+            body = Rect(*(_int(v) for v in body_section[1:5]))
         pins: List[SymbolPin] = []
         properties = PropertyBag()
+        ordinals: Dict[str, int] = {}
         for sub in _sections(section, 5):
             keyword = _sym(sub[0])
-            if keyword == "pin":
-                at = sub[3]
-                if _sym(at[0]) != "at":
-                    raise CDFormatError(f"pin missing (at ...): {sub!r}")
-                pins.append(SymbolPin(_str(sub[1]), Point(_int(at[1]), _int(at[2])), _sym(sub[2])))
-            elif keyword == "prop":
-                _read_prop(sub, properties)
-            else:
-                raise CDFormatError(f"unexpected {keyword!r} in symbol")
-        library.add(
-            Symbol(
-                library=library.name, name=name, view=view, body=body,
-                pins=pins, properties=properties, kind=kind,
+            ordinals[keyword] = ordinals.get(keyword, 0) + 1
+            with _record(f"{place} {keyword} {ordinals[keyword]}", sub):
+                if keyword == "pin":
+                    at = sub[3]
+                    if _sym(at[0]) != "at":
+                        raise CDFormatError(f"pin missing (at ...): {sub!r}")
+                    pins.append(
+                        SymbolPin(_str(sub[1]), Point(_int(at[1]), _int(at[2])), _sym(sub[2]))
+                    )
+                elif keyword == "prop":
+                    _read_prop(sub, properties)
+                else:
+                    raise CDFormatError(f"unexpected {keyword!r} in symbol")
+        with _record(place, section[:5]):
+            library.add(
+                Symbol(
+                    library=library.name, name=name, view=view, body=body,
+                    pins=pins, properties=properties, kind=kind,
+                )
             )
-        )
     return library
 
 

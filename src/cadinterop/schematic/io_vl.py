@@ -115,46 +115,47 @@ def dump_library(library: Library) -> str:
 
 
 def load_library(text: str) -> Library:
-    lines = [line for _number, line in _meaningful_lines(text)]
-    if not lines or not lines[0].startswith("VLLIB "):
+    numbered = _meaningful_lines(text)
+    if not numbered or not numbered[0][1].startswith("VLLIB "):
         raise VLFormatError("missing VLLIB header")
-    library = Library(_decode(lines[0].split()[1]))
-    index = 1
-    while index < len(lines):
-        line = lines[index]
-        if line == "ENDLIB":
-            return library
+    library = Library(_decode(numbered[0][1].split()[1]))
+    header: Optional[Tuple[str, str, str, Rect]] = None  # the open SYM
+    pins: List[SymbolPin] = []
+    properties = PropertyBag()
+    for number, line in numbered[1:]:
         fields = line.split()
-        if fields[0] != "SYM":
-            raise VLFormatError(f"expected SYM record, got {line!r}")
-        if len(fields) != 8:
-            raise VLFormatError(f"bad SYM record: {line!r}")
-        name, view, kind = _decode(fields[1]), _decode(fields[2]), fields[3]
-        body = Rect(int(fields[4]), int(fields[5]), int(fields[6]), int(fields[7]))
-        pins: List[SymbolPin] = []
-        properties = PropertyBag()
-        index += 1
-        while index < len(lines) and lines[index] != "ENDSYM":
-            fields = lines[index].split()
-            if fields[0] == "PIN":
+        keyword = fields[0]
+        try:
+            if header is None:
+                if keyword == "ENDLIB":
+                    return library
+                if keyword != "SYM":
+                    raise VLFormatError("expected SYM record")
+                if len(fields) != 8:
+                    raise VLFormatError("expected 8 fields")
+                body = Rect(int(fields[4]), int(fields[5]), int(fields[6]), int(fields[7]))
+                header = (_decode(fields[1]), _decode(fields[2]), fields[3], body)
+                pins, properties = [], PropertyBag()
+            elif keyword == "PIN":
                 pins.append(
                     SymbolPin(_decode(fields[1]), Point(int(fields[3]), int(fields[4])), fields[2])
                 )
-            elif fields[0] == "SPROP":
+            elif keyword == "SPROP":
                 properties.set(_decode(fields[1]), _decode_value(fields[2], fields[3]))
+            elif keyword == "ENDSYM":
+                name, view, kind, body = header
+                library.add(
+                    Symbol(
+                        library=library.name, name=name, view=view, body=body,
+                        pins=pins, properties=properties, kind=kind,
+                    )
+                )
+                header = None
             else:
-                raise VLFormatError(f"unexpected record in SYM: {lines[index]!r}")
-            index += 1
-        if index >= len(lines):
-            raise VLFormatError("unterminated SYM record")
-        library.add(
-            Symbol(
-                library=library.name, name=name, view=view, body=body,
-                pins=pins, properties=properties, kind=kind,
-            )
-        )
-        index += 1
-    raise VLFormatError("missing ENDLIB")
+                raise VLFormatError("unexpected record in SYM")
+        except (IndexError, ValueError, SchematicError) as exc:
+            raise _bad_record(number, keyword, line, exc) from None
+    raise VLFormatError("missing ENDLIB" if header is None else "unterminated SYM record")
 
 
 # ---------------------------------------------------------------------------
@@ -266,9 +267,7 @@ def load_schematic(text: str, libraries) -> Schematic:
             else:
                 raise VLFormatError(f"unknown record {keyword!r}")
         except (IndexError, ValueError, SchematicError) as exc:
-            detail = "missing field" if isinstance(exc, IndexError) else exc
-            record = _RECORD_NAMES.get(keyword, keyword)
-            raise VLFormatError(f"line {number}: bad {record} record {line!r}: {detail}") from None
+            raise _bad_record(number, keyword, line, exc) from None
     raise VLFormatError("missing END record")
 
 
@@ -276,7 +275,16 @@ def load_schematic(text: str, libraries) -> Schematic:
 _RECORD_NAMES = {
     "PORT": "port", "CPROP": "property", "PAGE": "page", "ENDPAGE": "end-of-page",
     "I": "instance", "IPROP": "instance property", "W": "wire", "T": "text",
+    "SYM": "symbol", "PIN": "pin", "SPROP": "symbol property", "ENDSYM": "end-of-symbol",
 }
+
+
+def _bad_record(number: int, keyword: str, line: str, exc: Exception) -> VLFormatError:
+    """The error for a record that failed to read: its line number, its kind
+    and the record itself."""
+    detail = "missing field" if isinstance(exc, IndexError) else exc
+    record = _RECORD_NAMES.get(keyword, keyword)
+    return VLFormatError(f"line {number}: bad {record} record {line!r}: {detail}")
 
 
 def _read_wire(fields: List[str]) -> Wire:

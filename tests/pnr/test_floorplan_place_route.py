@@ -31,6 +31,7 @@ from cadinterop.pnr.samples import (
     generate_design,
 )
 from cadinterop.pnr.tech import generic_two_layer_tech
+from tests.pnr.oracle import ReferenceRouter
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +145,8 @@ class TestRouting:
 
     def test_routes_are_connected_paths(self, tech, library):
         design, router, result = self.route_small(tech, library)
+        # Grid and via adjacency as the reference router states it.
+        adjacency = ReferenceRouter(tech, router.floorplan, router.pads)
         for net, routed in result.routed.items():
             if not routed.nodes:
                 continue
@@ -155,7 +158,7 @@ class TestRouting:
             frontier = [start]
             while frontier:
                 node = frontier.pop()
-                for neighbor, _cost in router._neighbors(node):
+                for neighbor, _cost in adjacency._neighbors(node):
                     if neighbor in nodes and neighbor not in seen:
                         seen.add(neighbor)
                         frontier.append(neighbor)

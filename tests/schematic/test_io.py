@@ -322,6 +322,71 @@ class TestSeededMutations:
         assert rejected > 300  # the mutations do break most files
 
 
+class TestLibraryRecordErrors:
+    """Malformed library records fail typed: ``.vl`` with the line and the
+    record, ``.cd`` with the symbol and section ordinals."""
+
+    @pytest.mark.parametrize("record,name,reason", [
+        ("SYM s symbol component 0 0 16", "symbol", "expected 8 fields"),
+        ("SYM s symbol component 0 0 16 x", "symbol", "invalid literal"),
+        ("SYM s symbol component 9 9 0 0", "symbol", "degenerate rect"),
+        ("PIN P input 0", "pin", "missing field"),
+        ("PIN P sideways 0 0", "pin", "bad pin direction"),
+        ("SPROP k int x", "symbol property", "invalid literal"),
+        ("SPROP k", "symbol property", "missing field"),
+    ], ids=["short-sym", "bad-body", "inverted-body", "short-pin", "bad-direction",
+            "bad-property", "short-property"])
+    def test_bad_vl_record(self, record, name, reason):
+        lines = ["VLLIB lib", "SYM s symbol component 0 0 16 16", "PIN A input 0 0",
+                 "ENDSYM", "ENDLIB"]
+        at = 1 if record.startswith("SYM") else 2
+        lines[at] = record
+        with pytest.raises(VLFormatError, match=reason) as caught:
+            io_vl.load_library("\n".join(lines) + "\n")
+        assert str(caught.value).startswith(f"line {at + 1}: bad {name} record {record!r}")
+
+    def test_vl_symbol_ends_are_checked(self):
+        with pytest.raises(VLFormatError, match="unterminated SYM"):
+            io_vl.load_library("VLLIB lib\nSYM s symbol component 0 0 16 16\n")
+        with pytest.raises(VLFormatError, match="line 2: bad pin record .*expected SYM record"):
+            io_vl.load_library("VLLIB lib\nPIN A input 0 0\nENDLIB\n")
+
+    @pytest.mark.parametrize("symbol,place", [
+        ('(symbol "s" "symbol" component (body 0 0 16))', "symbol 1: bad symbol"),
+        ('(symbol "s" "symbol" component 7)', "symbol 1: bad symbol"),
+        ('(symbol "s" "symbol" widget (body 0 0 16 16))', "symbol 1: bad symbol"),
+        ('(symbol "s" "symbol" component (body 0 0 16 16) (pin "A" input 3))',
+         "symbol 1 pin 1: bad pin"),
+        ('(symbol "s" "symbol" component (body 0 0 16 16) (pin "A" input (at 0 0))'
+         ' (pin "B" input))', "symbol 1 pin 2: bad pin"),
+        ('(symbol "s" "symbol" component (body 0 0 16 16) (prop "k" int "x"))',
+         "symbol 1 prop 1: bad prop"),
+    ], ids=["short-body", "body-not-a-section", "bad-kind", "pin-at-not-a-section",
+            "short-pin", "bad-property"])
+    def test_bad_cd_section(self, symbol, place):
+        with pytest.raises(CDFormatError) as caught:
+            io_cd.load_library(f'(library "lib" {symbol})')
+        assert str(caught.value).startswith(place)
+
+
+class TestSeededLibraryMutations:
+    """Seeded line mutations of the dumped ``vl_builtin`` library: a library
+    loader may accept the result or raise a SchematicError, nothing else."""
+
+    @pytest.mark.parametrize("fmt", ["vl", "cd"])
+    def test_only_schematic_errors_escape(self, vl_libs, fmt):
+        module = io_vl if fmt == "vl" else io_cd
+        text = module.dump_library(vl_libs.library("vl_builtin"))
+        rng = random.Random(1)
+        rejected = 0
+        for _ in range(600):
+            try:
+                module.load_library(_mutate(text, rng))
+            except SchematicError:
+                rejected += 1
+        assert rejected > 200  # the mutations do break many files
+
+
 class TestCrossFormat:
     def test_vl_to_cd_preserves_connectivity(self, vl_libs, sample):
         """A design can travel VL-text -> model -> CD-text -> model intact."""
